@@ -55,7 +55,7 @@ static void BM_FiberSwitchPair(benchmark::State& state) {
 }
 BENCHMARK(BM_FiberSwitchPair);
 
-// d-ary heap fanout ablation backing the SYM_HEAP_FANOUT default (see
+// d-ary heap fanout ablation backing the kHeapFanout default (see
 // simkit/dheap.hpp): push/pop a fixed pseudo-random schedule through each
 // arity side by side. The workload mirrors the Lane event heap — a mixed
 // stream where every pop is chased by a push, keeping the heap near its

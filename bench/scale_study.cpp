@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
+#include "simkit/dheap.hpp"
 #include "workloads/loadgen/loadgen.hpp"
 
 using namespace bench;
@@ -229,7 +230,7 @@ void write_json(const std::string& path, bool smoke, unsigned host_cpus,
   out << "{\n  \"bench\": \"scale_study\",\n"
       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
       << "  \"host_cpus\": " << host_cpus << ",\n"
-      << "  \"heap_fanout\": " << SYM_HEAP_FANOUT << ",\n"
+      << "  \"heap_fanout\": " << sim::kHeapFanout << ",\n"
       << "  \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const auto& c = cells[i];
@@ -329,7 +330,7 @@ int main(int argc, char** argv) {
             : std::vector<std::uint32_t>{1, 2, 4, 8};
 
   std::printf("host cpus: %u  heap fanout: %u\n\n", host_cpus,
-              static_cast<unsigned>(SYM_HEAP_FANOUT));
+              sim::kHeapFanout);
 
   std::vector<Cell> cells;
   bool det_pass = true;

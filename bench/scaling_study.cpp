@@ -9,10 +9,9 @@
 // extensions, causality clamps); the speedup column is
 // wall(workers=1) / wall(workers=N) at the same node count.
 //
-// Each node scale also runs a *legacy* reference cell (workers=1,
-// matrix_lookahead=false, quiet_extension_cap=1): the global-lookahead
-// lockstep protocol with its dense lanes^2 merge sweep, i.e. the engine as
-// it was before the lookahead matrix landed. The ablation section reports
+// The ablation section compares each full-mode node scale with the
+// recorded window counts of the global-lookahead lockstep protocol and its
+// dense lanes^2 merge sweep (kLegacyWindows* below):
 //   window_ratio = legacy windows / matrix windows
 //   pair_ratio   = legacy windows * lanes * (lanes-1) / matrix merge pairs
 // (the dense sweep visited every (dst, src) pair every window; the sparse
@@ -33,7 +32,7 @@
 // host_cpus >= 4 and reported as SKIPPED otherwise — see EXPERIMENTS.md.
 // The window/pair-ratio acceptance (>= 5x fewer windows, >= 10x fewer
 // merged pairs at 64 nodes) is host-independent and always evaluated in
-// full mode.
+// full mode; smoke mode has no recorded legacy counts and skips it.
 //
 // Results land in BENCH_scaling.json (override with --out PATH). --smoke
 // shrinks node counts and event volumes for CI.
@@ -54,11 +53,25 @@ using namespace bench;
 
 namespace {
 
+// Window counts of the lockstep protocol (global lookahead, no quiet
+// extension), which the engine no longer has, on this bench's full-mode
+// deployments: the "protocol": "legacy" cells of BENCH_scaling.json. A
+// schedule is a pure function of deployment and seed, so they are exact.
+constexpr std::uint64_t kLegacyWindows16Nodes = 501;
+constexpr std::uint64_t kLegacyWindows64Nodes = 974;
+
+/// Recorded legacy window count for a node scale; 0 if none.
+std::uint64_t legacy_windows(std::uint32_t nodes, bool smoke) {
+  if (smoke) return 0;
+  return nodes == 16 ? kLegacyWindows16Nodes
+         : nodes == 64 ? kLegacyWindows64Nodes
+                       : 0;
+}
+
 struct Cell {
   std::uint32_t nodes = 0;
   std::uint32_t lanes = 0;
   std::uint32_t workers = 0;
-  bool legacy = false;    ///< global-lookahead lockstep reference protocol
   double virtual_ms = 0;  ///< simulated data-loader makespan
   double wall_ms = 0;     ///< host wall-clock of world.run()
   std::uint64_t events_processed = 0;
@@ -90,7 +103,7 @@ struct Ablation {
 /// serve, the rest run data-loader clients.
 sym::workloads::HepnosWorld::Params scaled_params(std::uint32_t nodes,
                                                   std::uint32_t workers,
-                                                  bool smoke, bool legacy) {
+                                                  bool smoke) {
   const std::uint32_t servers = nodes / 4;
   sym::workloads::HepnosWorld::Params p;
   p.config.name = "weak-scaling";
@@ -109,26 +122,16 @@ sym::workloads::HepnosWorld::Params scaled_params(std::uint32_t nodes,
   p.exec.worker_count = workers;
   // Deeper speculation than the engine default: the study measures how far
   // adaptive extension can push window count down. Fidelity cost is tracked
-  // in the causality_clamps column and in virtual_ms vs the legacy cell.
+  // in the causality_clamps column.
   p.exec.quiet_extension_cap = 16;
-  if (legacy) {
-    // The pre-matrix protocol: uniform lockstep windows of one global
-    // lookahead, no quiet extension. (The merge is still sparse — the
-    // dense-equivalent pair count is reconstructed arithmetically.)
-    p.exec.matrix_lookahead = false;
-    p.exec.quiet_extension_cap = 1;
-  }
   return p;
 }
 
-Cell run_cell(std::uint32_t nodes, std::uint32_t workers, bool smoke,
-              bool legacy) {
+Cell run_cell(std::uint32_t nodes, std::uint32_t workers, bool smoke) {
   Cell c;
   c.nodes = nodes;
   c.workers = workers;
-  c.legacy = legacy;
-  sym::workloads::HepnosWorld world(
-      scaled_params(nodes, workers, smoke, legacy));
+  sym::workloads::HepnosWorld world(scaled_params(nodes, workers, smoke));
   c.lanes = world.engine().lane_count();
   const auto t0 = std::chrono::steady_clock::now();
   world.run();
@@ -155,11 +158,10 @@ Cell run_cell(std::uint32_t nodes, std::uint32_t workers, bool smoke,
 }
 
 void print_cell(const Cell& c) {
-  std::printf("nodes %3u  lanes %3u  workers %u%s  virtual %9.3f ms  "
+  std::printf("nodes %3u  lanes %3u  workers %u  virtual %9.3f ms  "
               "wall %8.2f ms  events %9llu  windows %7llu  pairs %8llu  "
               "speedup x%.2f\n",
-              c.nodes, c.lanes, c.workers, c.legacy ? " (legacy)" : "        ",
-              c.virtual_ms, c.wall_ms,
+              c.nodes, c.lanes, c.workers, c.virtual_ms, c.wall_ms,
               static_cast<unsigned long long>(c.events_processed),
               static_cast<unsigned long long>(c.windows),
               static_cast<unsigned long long>(c.merge_pairs), c.speedup_vs_1w);
@@ -179,15 +181,14 @@ void write_json(const std::string& path, bool smoke, unsigned host_cpus,
     std::snprintf(
         buf, sizeof(buf),
         "    {\"nodes\": %u, \"lanes\": %u, \"workers\": %u, "
-        "\"protocol\": \"%s\", \"virtual_ms\": %.6f, \"wall_ms\": %.3f, "
+        "\"protocol\": \"matrix\", \"virtual_ms\": %.6f, \"wall_ms\": %.3f, "
         "\"events_processed\": %llu, \"events_stored\": %llu, "
         "\"windows\": %llu, \"merge_pairs\": %llu, \"dirty_pairs\": %llu, "
         "\"quiet_windows\": %llu, \"causality_clamps\": %llu, "
         "\"allocations\": %llu, \"alloc_per_event\": %.6f, "
         "\"peak_rss_bytes\": %llu, "
         "\"speedup_vs_1w\": %.3f}%s\n",
-        c.nodes, c.lanes, c.workers, c.legacy ? "legacy" : "matrix",
-        c.virtual_ms, c.wall_ms,
+        c.nodes, c.lanes, c.workers, c.virtual_ms, c.wall_ms,
         static_cast<unsigned long long>(c.events_processed),
         static_cast<unsigned long long>(c.events_stored),
         static_cast<unsigned long long>(c.windows),
@@ -255,29 +256,20 @@ int main(int argc, char** argv) {
   double window_ratio_large = 0;
   double pair_ratio_large = 0;
   for (const auto nodes : node_scales) {
-    // Legacy (pre-matrix) reference: global lookahead, lockstep windows.
-    Cell legacy = run_cell(nodes, 1, smoke, /*legacy=*/true);
-    print_cell(legacy);
-    if (legacy.merge_pairs > legacy.dirty_pairs) merge_sparse = false;
-    cells.push_back(legacy);
-
     Ablation ab;
     ab.nodes = nodes;
-    ab.lanes = legacy.lanes;
-    ab.legacy_windows = legacy.windows;
-    ab.legacy_dense_pairs = legacy.windows *
-                            static_cast<std::uint64_t>(legacy.lanes) *
-                            (legacy.lanes - 1);
+    ab.legacy_windows = legacy_windows(nodes, smoke);
 
     double wall_1w = 0;
     std::uint64_t events_1w = 0;
     std::uint64_t digest_1w = 0;
     for (const auto workers : worker_scales) {
-      Cell c = run_cell(nodes, workers, smoke, /*legacy=*/false);
+      Cell c = run_cell(nodes, workers, smoke);
       if (workers == 1) {
         wall_1w = c.wall_ms;
         events_1w = c.events_processed;
         digest_1w = c.digest;
+        ab.lanes = c.lanes;
         ab.matrix_windows = c.windows;
         ab.matrix_merge_pairs = c.merge_pairs;
       }
@@ -290,7 +282,11 @@ int main(int argc, char** argv) {
       print_cell(c);
       cells.push_back(c);
     }
+    if (ab.legacy_windows == 0) continue;  // no recorded reference
 
+    ab.legacy_dense_pairs = ab.legacy_windows *
+                            static_cast<std::uint64_t>(ab.lanes) *
+                            (ab.lanes - 1);
     ab.window_ratio =
         ab.matrix_windows > 0
             ? static_cast<double>(ab.legacy_windows) /
@@ -301,8 +297,8 @@ int main(int argc, char** argv) {
             ? static_cast<double>(ab.legacy_dense_pairs) /
                   static_cast<double>(ab.matrix_merge_pairs)
             : 0;
-    std::printf("  ablation @ %u nodes: windows %llu -> %llu (x%.1f), "
-                "merge pairs %llu -> %llu (x%.1f)\n",
+    std::printf("  ablation @ %u nodes (recorded legacy): windows %llu -> "
+                "%llu (x%.1f), merge pairs %llu -> %llu (x%.1f)\n",
                 nodes, static_cast<unsigned long long>(ab.legacy_windows),
                 static_cast<unsigned long long>(ab.matrix_windows),
                 ab.window_ratio,

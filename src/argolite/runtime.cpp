@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace sym::abt {
@@ -119,36 +121,45 @@ std::uint64_t Runtime::total_runnable() const noexcept {
 
 Ult* self() noexcept { return Xstream::current_ult(); }
 
-void yield() {
+namespace {
+
+/// The calling ULT (whose Xstream is then Xstream::current()); throws
+/// std::logic_error naming `op` outside ULT context.
+Ult& this_ult(const char* op) {
   Ult* u = self();
-  assert(u != nullptr && "yield() outside ULT context");
-  u->state_ = UltState::kReady;  // postprocess() requeues it
+  if (u == nullptr) {
+    throw std::logic_error(std::string("abt::") + op +
+                           "() called outside ULT context");
+  }
+  return *u;
+}
+
+}  // namespace
+
+void yield() {
+  Ult& u = this_ult("yield");
+  u.state_ = UltState::kReady;  // postprocess() requeues it
   sim::Fiber::switch_out();
 }
 
 void compute(sim::DurationNs d) {
-  Ult* u = self();
-  Xstream* xs = Xstream::current();
-  assert(u != nullptr && xs != nullptr && "compute() outside ULT context");
-  xs->begin_compute(d, *u);
+  Ult& u = this_ult("compute");
+  Xstream::current()->begin_compute(d, u);
   sim::Fiber::switch_out();
 }
 
 void sleep_for(sim::DurationNs d) {
-  Ult* u = self();
-  Xstream* xs = Xstream::current();
-  assert(u != nullptr && xs != nullptr && "sleep_for() outside ULT context");
+  Ult* u = &this_ult("sleep_for");
   Pool& pool = u->pool();
   u->state_ = UltState::kBlocked;
   pool.on_blocked();
-  xs->runtime().engine().after(d, [&pool, u] { pool.wake_blocked(*u); });
+  Xstream::current()->runtime().engine().after(
+      d, [&pool, u] { pool.wake_blocked(*u); });
   sim::Fiber::switch_out();
 }
 
 void self_set(KeyId key, std::uint64_t value) {
-  Ult* u = self();
-  assert(u != nullptr);
-  u->local_set(key, value);
+  this_ult("self_set").local_set(key, value);
 }
 
 std::uint64_t self_get(KeyId key) noexcept {
@@ -157,10 +168,9 @@ std::uint64_t self_get(KeyId key) noexcept {
 }
 
 void block_self() {
-  Ult* u = self();
-  assert(u != nullptr && "block_self() outside ULT context");
-  u->state_ = UltState::kBlocked;
-  u->pool().on_blocked();
+  Ult& u = this_ult("block_self");
+  u.state_ = UltState::kBlocked;
+  u.pool().on_blocked();
   sim::Fiber::switch_out();
 }
 

@@ -77,7 +77,9 @@ class Runtime {
 };
 
 // ---------------------------------------------------------------------------
-// Calls available from inside ULT code ("this ULT" operations).
+// Calls available from inside ULT code ("this ULT" operations). Outside a
+// ULT, every call below except self() and self_get() throws
+// std::logic_error.
 // ---------------------------------------------------------------------------
 
 /// The ULT currently running on this thread (nullptr outside ULT context).

@@ -1,57 +1,45 @@
 // simkit/dheap.hpp
 //
 // d-ary heap primitives shared by the Lane event heap and the engine's
-// NextEventIndex. The fanout is a measured compile-time knob: configure with
-// -DSYM_HEAP_FANOUT=2|4|8 (CMake cache variable of the same name; default
-// 4). A wider heap is shallower (log_d n levels, fewer cache lines touched
-// per sift-up) but compares more children per level on sift-down; the
-// BM_HeapFanout micro benchmark instantiates all three arities side by side
-// so the default is a measurement, not folklore — see EXPERIMENTS.md.
+// NextEventIndex, both at kHeapFanout = 4. The arity stays a template
+// parameter so the BM_HeapFanout micro benchmark can measure 2, 4 and 8
+// side by side; it never changes the pop order.
 //
 // The sifts are hole-based (shift the displaced entry along the path and
 // store it once) rather than swap-based: for the 24-byte Lane::HeapEntry
-// that halves the stores per level. Both variants place elements at the
-// same positions, so the executed event order — and with it every
-// determinism digest — is unchanged.
+// that halves the stores per level. Every store goes through a
+// `place(i, e)` hook: a plain store for the lane heap, a store plus a
+// lane->slot map update for the NextEventIndex.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
-#ifndef SYM_HEAP_FANOUT
-#define SYM_HEAP_FANOUT 4
-#endif
-
 namespace sym::sim {
 
-inline constexpr unsigned kHeapFanout = SYM_HEAP_FANOUT;
-static_assert(kHeapFanout == 2 || kHeapFanout == 4 || kHeapFanout == 8,
-              "SYM_HEAP_FANOUT must be 2, 4 or 8");
+inline constexpr unsigned kHeapFanout = 4;
 
-/// Append `e` and restore the heap property. `before(a, b)` is the strict
-/// ordering (min element at index 0).
-template <unsigned Arity, typename T, typename Before>
-void dheap_push(std::vector<T>& h, T e, Before before) {
-  h.push_back(e);  // placeholder; overwritten by the hole shift below
-  std::size_t i = h.size() - 1;
+/// Move `e` from hole `i` toward the root; returns the slot it lands in.
+/// `before(a, b)` is the strict ordering (min element at index 0);
+/// `place(j, x)` stores `x` at slot `j`.
+template <unsigned Arity, typename T, typename Before, typename Place>
+std::size_t dheap_sift_up(std::vector<T>& h, std::size_t i, T e, Before before,
+                          Place place) {
   while (i > 0) {
     const std::size_t parent = (i - 1) / Arity;
     if (!before(e, h[parent])) break;
-    h[i] = h[parent];
+    place(i, h[parent]);
     i = parent;
   }
-  h[i] = e;
+  place(i, e);
+  return i;
 }
 
-/// Remove and return the minimum (caller guarantees non-empty).
-template <unsigned Arity, typename T, typename Before>
-T dheap_pop(std::vector<T>& h, Before before) {
-  T top = h.front();
-  const T last = h.back();
-  h.pop_back();
+/// Move `e` from hole `i` toward the leaves; returns the slot it lands in.
+template <unsigned Arity, typename T, typename Before, typename Place>
+std::size_t dheap_sift_down(std::vector<T>& h, std::size_t i, T e,
+                            Before before, Place place) {
   const std::size_t n = h.size();
-  if (n == 0) return top;
-  std::size_t i = 0;
   while (true) {
     const std::size_t first_child = Arity * i + 1;
     if (first_child >= n) break;
@@ -61,11 +49,32 @@ T dheap_pop(std::vector<T>& h, Before before) {
     for (std::size_t c = first_child + 1; c < last_child; ++c) {
       if (before(h[c], h[best])) best = c;
     }
-    if (!before(h[best], last)) break;
-    h[i] = h[best];
+    if (!before(h[best], e)) break;
+    place(i, h[best]);
     i = best;
   }
-  h[i] = last;
+  place(i, e);
+  return i;
+}
+
+/// Append `e` and restore the heap property.
+template <unsigned Arity, typename T, typename Before>
+void dheap_push(std::vector<T>& h, T e, Before before) {
+  h.push_back(e);  // placeholder; overwritten by the hole shift
+  dheap_sift_up<Arity>(h, h.size() - 1, e, before,
+                       [&h](std::size_t i, const T& x) { h[i] = x; });
+}
+
+/// Remove and return the minimum (caller guarantees non-empty).
+template <unsigned Arity, typename T, typename Before>
+T dheap_pop(std::vector<T>& h, Before before) {
+  T top = h.front();
+  const T last = h.back();
+  h.pop_back();
+  if (!h.empty()) {
+    dheap_sift_down<Arity>(h, 0, last, before,
+                           [&h](std::size_t i, const T& x) { h[i] = x; });
+  }
   return top;
 }
 

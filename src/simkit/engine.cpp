@@ -4,6 +4,7 @@
 #include <cassert>
 #include <utility>
 
+#include "simkit/dheap.hpp"
 #include "simkit/window.hpp"
 
 namespace sym::sim {
@@ -47,65 +48,31 @@ inline TimeNs sat_mul(TimeNs a, std::uint64_t f) noexcept {
 void NextEventIndex::resize(std::uint32_t lanes) {
   heap_.clear();
   pos_.assign(lanes, kAbsent);
-  time_.assign(lanes, kTimeNever);
 }
 
-void NextEventIndex::sift_up(std::size_t i) {
-  const Entry e = heap_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (!before(e, heap_[parent])) break;
-    place(i, heap_[parent]);
-    i = parent;
-  }
-  place(i, e);
-}
-
-void NextEventIndex::sift_down(std::size_t i) {
-  const Entry e = heap_[i];
-  const std::size_t n = heap_.size();
-  while (true) {
-    const std::size_t first_child = 4 * i + 1;
-    if (first_child >= n) break;
-    std::size_t best = first_child;
-    const std::size_t last_child = std::min(first_child + 4, n);
-    for (std::size_t c = first_child + 1; c < last_child; ++c) {
-      if (before(heap_[c], heap_[best])) best = c;
-    }
-    if (!before(heap_[best], e)) break;
-    place(i, heap_[best]);
-    i = best;
-  }
-  place(i, e);
+void NextEventIndex::reseat(std::size_t i, Entry e) {
+  const auto place = [this](std::size_t j, const Entry& x) {
+    heap_[j] = x;
+    pos_[x.lane] = static_cast<std::uint32_t>(j);
+  };
+  const std::size_t up =
+      dheap_sift_up<kHeapFanout>(heap_, i, e, &NextEventIndex::before, place);
+  dheap_sift_down<kHeapFanout>(heap_, up, e, &NextEventIndex::before, place);
 }
 
 void NextEventIndex::update(std::uint32_t lane, TimeNs t) {
-  if (time_[lane] == t) return;
-  time_[lane] = t;
   const std::uint32_t at = pos_[lane];
+  if ((at == kAbsent ? kTimeNever : heap_[at].t) == t) return;
   if (t == kTimeNever) {
-    if (at == kAbsent) return;
     // Remove: move the last entry into the hole and restore heap order.
     const Entry last = heap_.back();
     heap_.pop_back();
     pos_[lane] = kAbsent;
-    if (last.lane != lane) {
-      heap_[at] = last;  // place() via sift below
-      pos_[last.lane] = at;
-      sift_up(at);
-      sift_down(pos_[last.lane]);
-    }
+    if (last.lane != lane) reseat(at, last);
     return;
   }
-  if (at == kAbsent) {
-    heap_.push_back(Entry{t, lane});
-    pos_[lane] = static_cast<std::uint32_t>(heap_.size() - 1);
-    sift_up(heap_.size() - 1);
-    return;
-  }
-  heap_[at].t = t;
-  sift_up(at);
-  sift_down(pos_[lane]);
+  if (at == kAbsent) heap_.push_back(Entry{t, lane});
+  reseat(at == kAbsent ? heap_.size() - 1 : at, Entry{t, lane});
 }
 
 // ---------------------------------------------------------------------------
@@ -311,14 +278,6 @@ void Engine::refresh_next_index() {
 void Engine::compute_window_ends(TimeNs start, bool bounded, TimeNs deadline) {
   const auto n = static_cast<std::uint32_t>(lanes_.size());
   const TimeNs cap = bounded ? sat_add(deadline, 1) : kTimeNever;
-  if (!config_.matrix_lookahead) {
-    // Legacy lockstep window [start, start + lookahead), optionally
-    // stretched by the quiet factor.
-    TimeNs end = sat_add(start, sat_mul(lookahead_, quiet_factor_));
-    end = std::min(end, cap);
-    for (std::uint32_t i = 0; i < n; ++i) window_ends_[i] = end;
-    return;
-  }
   // Per-lane conservative bound: the earliest timestamp any event executed
   // by a peer this window — or any causal descendant of it, relayed through
   // currently idle lanes across later windows — could carry into this lane.

@@ -20,7 +20,9 @@
 // matrix (the minimum cross-node messaging delay between the lanes' node
 // sets, installed by the Cluster from actual link topology), so events
 // inside one window on different lanes cannot causally interact and may
-// execute concurrently on a pool of worker threads (window.hpp).
+// execute concurrently on a pool of worker threads (window.hpp). The
+// quiet-window extension (EngineConfig::quiet_extension_cap) only
+// stretches these bounds; there is no other window protocol.
 // Cross-lane insertions travel through per-lane-pair mailboxes merged at
 // each window barrier in (dst-lane, src-lane, append) order — only pairs
 // that actually posted are visited — and every lane draws from an
@@ -36,12 +38,12 @@
 //    (id = lane << 56 | generation << 28 | slot). cancel() is a direct O(1)
 //    slot access — no hash-set insert, and a stale id from a fired event
 //    simply fails the generation check instead of poisoning a tombstone set.
-//  * The priority queue is an explicit d-ary heap (fanout = SYM_HEAP_FANOUT,
-//    default 4, see dheap.hpp): shallower than a binary heap (log_d n
-//    levels) and with a node's children on one cache line's worth of
-//    entries, which measurably speeds up the sift-down on pop. Cancelled
-//    entries are skipped with a flag test when they surface, not a set
-//    lookup per pop.
+//  * The priority queue is an explicit 4-ary heap (kHeapFanout, see
+//    dheap.hpp; the NextEventIndex below shares its sifts): shallower than
+//    a binary heap (log_d n levels) and with a node's children on one cache
+//    line's worth of entries, which measurably speeds up the sift-down on
+//    pop. Cancelled entries are skipped with a flag test when they
+//    surface, not a set lookup per pop.
 //  * Per-event memory is arena-owned (arena.hpp): slots recycle through an
 //    intrusive freelist, callbacks are inline-buffer SmallFn, and
 //    Engine::arena_stats() aggregates the per-lane allocation counters the
@@ -78,12 +80,6 @@ struct EngineConfig {
   /// becomes the matrix minimum). A pinned nonzero value forces a uniform
   /// lookahead and skips the matrix derivation.
   DurationNs lookahead = 0;
-  /// Per-lane window bounds from the lookahead matrix: lane `i` runs to
-  /// `min over lanes j with pending events of (next_j + dist(j, i))`
-  /// (plus a self round-trip term), where dist is the all-pairs shortest
-  /// path over the lookahead matrix. false = legacy lockstep windows
-  /// `[start, start + lookahead)` — kept for the scaling ablation.
-  bool matrix_lookahead = true;
   /// Adaptive quiet-window extension: every per-lane window length is
   /// multiplied by a factor that doubles (up to this cap) while
   /// speculation pays off and backs off 25% when a window's merge clamps
@@ -93,16 +89,12 @@ struct EngineConfig {
   /// speculative: a lost bet clamps a late merged event to the
   /// destination clock and is counted in Engine::causality_clamps().
   std::uint32_t quiet_extension_cap = 8;
-  /// Rebalance the persistent lane->worker assignment every N windows from
-  /// per-lane executed-event counts (simulation state, so the assignment —
-  /// which never affects results — is itself deterministic). 0 = keep the
-  /// static stride assignment (lane i on worker i % worker_count) forever.
-  std::uint32_t rebalance_period = 32;
 };
 
 /// Incrementally maintained minimum over per-lane cached next-event times:
-/// an indexed 4-ary min-heap keyed by (time, lane). Replaces the O(lanes)
-/// peek-min sweep (which walked every lane's event heap) that both
+/// an indexed d-ary min-heap keyed by (time, lane) on the dheap.hpp sifts,
+/// whose place hook keeps the lane->slot map current. Replaces the
+/// O(lanes) peek-min sweep (which walked every lane's event heap) that both
 /// Engine::step() and the window loop used to duplicate; lanes are
 /// re-cached only when their heap top may have moved (Lane::take_next_dirty).
 class NextEventIndex {
@@ -120,9 +112,6 @@ class NextEventIndex {
     return heap_.front().lane;
   }
   [[nodiscard]] TimeNs top_time() const noexcept { return heap_.front().t; }
-  [[nodiscard]] TimeNs time_of(std::uint32_t lane) const noexcept {
-    return time_[lane];
-  }
   /// Lanes currently holding events, in unspecified (heap) order. Callers
   /// must not let the order reach simulation state without first reducing
   /// it through min/sort.
@@ -135,17 +124,12 @@ class NextEventIndex {
     if (a.t != b.t) return a.t < b.t;
     return a.lane < b.lane;
   }
-  void sift_up(std::size_t i);
-  void sift_down(std::size_t i);
-  void place(std::size_t i, Entry e) {
-    heap_[i] = e;
-    pos_[e.lane] = static_cast<std::uint32_t>(i);
-  }
+  /// Put `e` at slot `i` and sift it to where (time, lane) order wants it.
+  void reseat(std::size_t i, Entry e);
 
   static constexpr std::uint32_t kAbsent = 0xFFFFFFFFu;
   std::vector<Entry> heap_;
   std::vector<std::uint32_t> pos_;  ///< lane -> heap slot (kAbsent if none)
-  std::vector<TimeNs> time_;        ///< lane -> cached time (kTimeNever)
 };
 
 class Engine {

@@ -1,9 +1,9 @@
 // simkit/lane.hpp
 //
 // One shard of the discrete-event engine. A Lane owns everything the old
-// single-threaded engine owned — a d-ary heap of generation-tagged event
-// slots (fanout via the SYM_HEAP_FANOUT knob, see dheap.hpp), a virtual
-// clock, a FIFO sequence counter and an independently seeded Rng stream —
+// single-threaded engine owned — a 4-ary heap of generation-tagged event
+// slots (kHeapFanout, see dheap.hpp), a virtual clock, a FIFO sequence
+// counter and an independently seeded Rng stream —
 // for the subset of simulated nodes mapped to it (node % lane_count). During
 // a safe window (see engine.hpp) every lane is executed by exactly one
 // worker thread and touches only lane-local state; events destined for

@@ -8,6 +8,9 @@
 
 namespace sym::sim {
 
+/// Windows between lane->worker rebalances.
+constexpr std::uint32_t kRebalancePeriod = 32;
+
 WindowCoordinator::WindowCoordinator(Engine& engine, std::uint32_t workers)
     : engine_(engine),
       workers_(workers == 0 ? 1 : workers),
@@ -99,9 +102,8 @@ void WindowCoordinator::merge() {
 }
 
 void WindowCoordinator::maybe_rebalance() {
-  const std::uint32_t period = engine_.config_.rebalance_period;
-  if (workers_ <= 1 || period == 0) return;
-  if (++windows_since_rebalance_ < period) return;
+  if (workers_ <= 1) return;
+  if (++windows_since_rebalance_ < kRebalancePeriod) return;
   windows_since_rebalance_ = 0;
   auto& lanes = engine_.lanes_;
   const auto n = static_cast<std::uint32_t>(lanes.size());

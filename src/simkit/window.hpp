@@ -5,8 +5,8 @@
 // Engine::run) decides per-lane window boundaries; `worker_count` threads
 // execute the lanes of each window concurrently, each walking its slice of
 // a persistent lane->worker assignment. The assignment starts as the
-// static stride (lane i on worker i % worker_count) and is rebalanced
-// between windows from per-lane executed-event counts (LPT greedy), so a
+// static stride (lane i on worker i % worker_count) and is rebalanced every
+// 32 windows from per-lane executed-event counts (LPT greedy), so a
 // few hot lanes stop serializing a window behind one worker. Rebalancing
 // moves fibers between OS threads; fiber.cpp explicitly supports resuming
 // a fiber on a different thread than suspended it (the sanitizer context
@@ -110,7 +110,7 @@ class WindowCoordinator {
   /// Execute the lanes currently assigned to `worker`.
   void run_lanes_of(std::uint32_t worker, const TimeNs* ends);
   void merge();
-  /// Every config.rebalance_period windows, re-pack lanes onto workers by
+  /// Every kRebalancePeriod (32) windows, re-pack lanes onto workers by
   /// descending executed-event delta (LPT greedy, ties by lane index then
   /// worker index). Inputs are simulation state only, so the assignment is
   /// deterministic — and it never affects results, only which thread runs

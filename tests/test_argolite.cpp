@@ -3,6 +3,7 @@
 // experiments depend on.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "argolite/runtime.hpp"
@@ -187,6 +188,20 @@ TEST(Argolite, UnsetKeyReadsZero) {
   f.rt.create_ult(pool, [&] { v = abt::self_get(key); });
   f.eng.run();
   EXPECT_EQ(v, 0u);
+}
+
+// The this-ULT calls need a running ULT to suspend; outside one they must
+// fail cleanly in every build type, not dereference a null ULT.
+TEST(Argolite, ThisUltCallsOutsideUltThrow) {
+  AbtFixture f;
+  EXPECT_EQ(abt::self(), nullptr);
+  EXPECT_THROW(abt::yield(), std::logic_error);
+  EXPECT_THROW(abt::compute(sim::usec(1)), std::logic_error);
+  EXPECT_THROW(abt::sleep_for(sim::usec(1)), std::logic_error);
+  EXPECT_THROW(abt::block_self(), std::logic_error);
+  EXPECT_THROW(abt::self_set(abt::Runtime::key_create(), 1), std::logic_error);
+  EXPECT_EQ(abt::self_get(0), 0u);
+  EXPECT_EQ(f.eng.pending_events(), 0u);  // nothing was scheduled
 }
 
 TEST(Argolite, MutexMutualExclusion) {

@@ -237,9 +237,9 @@ TEST(ParallelWorkloads, HepnosBitIdenticalAcrossWorkerCounts) {
 namespace {
 
 /// 16-node HEPnOS deployment (4 server nodes + 12 client nodes, one lane
-/// per node) with the window-protocol knobs under test made explicit.
-WorkloadDigest run_hepnos16(std::uint32_t workers, bool matrix,
-                            std::uint32_t quiet_cap) {
+/// per node) with the window-protocol knob under test made explicit.
+HepnosWorld::Params hepnos16_params(std::uint32_t workers,
+                                    std::uint32_t quiet_cap) {
   HepnosWorld::Params p;
   p.config.total_clients = 12;
   p.config.clients_per_node = 1;
@@ -250,45 +250,55 @@ WorkloadDigest run_hepnos16(std::uint32_t workers, bool matrix,
   p.files_per_client = 1;
   p.exec.lane_count = 0;  // auto: one lane per node
   p.exec.worker_count = workers;
-  p.exec.matrix_lookahead = matrix;
   p.exec.quiet_extension_cap = quiet_cap;
-  HepnosWorld world(p);
+  return p;
+}
+
+WorkloadDigest run_hepnos16(std::uint32_t workers, std::uint32_t quiet_cap) {
+  HepnosWorld world(hepnos16_params(workers, quiet_cap));
   world.run();
   return digest_of(world);
 }
 
 }  // namespace
 
-// Every protocol configuration — matrix lookahead and quiet-window
-// extension independently on/off — must stay bit-identical for any worker
-// count (different configs are different experiments and may legitimately
-// differ from each other; each must agree with itself).
+// Both protocol configurations — quiet-window extension on and off — must
+// stay bit-identical for any worker count (different configs are different
+// experiments and may legitimately differ from each other; each must agree
+// with itself).
 TEST(WindowProtocol, HepnosBitIdenticalAcrossWorkersForEveryProtocolConfig) {
-  struct ProtocolConfig {
-    bool matrix;
-    std::uint32_t cap;
-  };
-  const ProtocolConfig configs[] = {{true, 8}, {true, 1}, {false, 8},
-                                    {false, 1}};
-  for (const auto& c : configs) {
-    const WorkloadDigest baseline = run_hepnos16(1, c.matrix, c.cap);
+  for (const std::uint32_t cap : {8u, 1u}) {
+    const WorkloadDigest baseline = run_hepnos16(1, cap);
     EXPECT_FALSE(baseline.zipkin.empty());
     EXPECT_GT(baseline.events_processed, 0u);
     for (const auto workers : {2u, 4u, 8u, 16u}) {
-      const WorkloadDigest got = run_hepnos16(workers, c.matrix, c.cap);
+      const WorkloadDigest got = run_hepnos16(workers, cap);
       EXPECT_EQ(got.zipkin, baseline.zipkin)
-          << "workers=" << workers << " matrix=" << c.matrix
-          << " cap=" << c.cap;
+          << "workers=" << workers << " cap=" << cap;
       EXPECT_EQ(got.profile, baseline.profile)
-          << "workers=" << workers << " matrix=" << c.matrix
-          << " cap=" << c.cap;
+          << "workers=" << workers << " cap=" << cap;
       EXPECT_EQ(got.events_processed, baseline.events_processed)
-          << "workers=" << workers << " matrix=" << c.matrix
-          << " cap=" << c.cap;
+          << "workers=" << workers << " cap=" << cap;
       EXPECT_EQ(got.final_now, baseline.final_now)
-          << "workers=" << workers << " matrix=" << c.matrix
-          << " cap=" << c.cap;
+          << "workers=" << workers << " cap=" << cap;
     }
+  }
+}
+
+// The default protocol's schedule, pinned. Worker bit-identity cannot catch
+// a change that moves every worker count's schedule the same way; these
+// counts can. They are pure simulation state, so they are exact on every
+// host and worker count.
+TEST(WindowProtocol, DefaultHepnosScheduleIsPinned) {
+  const sim::EngineConfig defaults;
+  for (const auto workers : {1u, 4u}) {
+    HepnosWorld world(hepnos16_params(workers, defaults.quiet_extension_cap));
+    world.run();
+    const sim::Engine& eng = world.engine();
+    EXPECT_EQ(eng.windows_executed(), 128u) << "workers=" << workers;
+    EXPECT_EQ(eng.merge_pairs_visited(), 298u) << "workers=" << workers;
+    EXPECT_EQ(eng.causality_clamps(), 160u) << "workers=" << workers;
+    EXPECT_EQ(eng.events_processed(), 8048u) << "workers=" << workers;
   }
 }
 
