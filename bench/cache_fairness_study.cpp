@@ -28,8 +28,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -193,51 +191,34 @@ Cell run_cell(std::string scenario, const CacheWorld::Params& params,
   return c;
 }
 
-void write_json(const std::string& path, bool smoke,
-                const std::vector<Cell>& cells) {
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"cache_fairness_study\",\n"
-      << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-      << "  \"cells\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const auto& c = cells[i];
-    char buf[640];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"scenario\": \"%s\", \"placement\": \"%s\", "
-        "\"policy\": \"%s\", \"workers_checked\": %u, "
-        "\"deterministic\": %s, \"virtual_ms\": %.6f, \"wall_ms\": %.3f, "
-        "\"backend_reads\": %llu, \"backend_read_bytes\": %llu, "
-        "\"hit_ratio\": %.4f, \"writeback_ops\": %llu, \"evictions\": %llu, "
-        "\"events_processed\": %llu, \"rate_wide_bps\": %.0f, "
-        "\"rate_narrow_bps\": %.0f, \"rate_gap\": %.4f, "
-        "\"dominant_callpath\": \"%s\"}%s\n",
-        c.scenario.c_str(), c.placement.c_str(), c.policy.c_str(),
-        c.workers_checked, c.deterministic ? "true" : "false", c.virtual_ms,
-        c.wall_ms, static_cast<unsigned long long>(c.backend_reads),
-        static_cast<unsigned long long>(c.backend_read_bytes), c.hit_ratio,
-        static_cast<unsigned long long>(c.writeback_ops),
-        static_cast<unsigned long long>(c.evictions),
-        static_cast<unsigned long long>(c.events_processed), c.rate_wide,
-        c.rate_narrow, c.rate_gap, c.dominant_callpath.c_str(),
-        i + 1 < cells.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ]\n}\n";
+void write_cell(JsonWriter& json, const Cell& c) {
+  json.begin_object()
+      .field("scenario", c.scenario)
+      .field("placement", c.placement)
+      .field("policy", c.policy)
+      .field("workers_checked", c.workers_checked)
+      .field("deterministic", c.deterministic)
+      .field("virtual_ms", c.virtual_ms)
+      .field("wall_ms", c.wall_ms)
+      .field("backend_reads", c.backend_reads)
+      .field("backend_read_bytes", c.backend_read_bytes)
+      .field("hit_ratio", c.hit_ratio)
+      .field("writeback_ops", c.writeback_ops)
+      .field("evictions", c.evictions)
+      .field("events_processed", c.events_processed)
+      .field("rate_wide_bps", c.rate_wide)
+      .field("rate_narrow_bps", c.rate_narrow)
+      .field("rate_gap", c.rate_gap)
+      .field("dominant_callpath", c.dominant_callpath)
+      .end();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_cache.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    }
-  }
+  Report report("cache_fairness_study",
+                parse_study_args(argc, argv, "BENCH_cache.json"));
+  const bool smoke = report.smoke();
 
   print_header("Blockcache placement & fair-share scheduling study",
                "bbThemis OST-alignment / ThemisIO fair-share scenarios");
@@ -246,59 +227,53 @@ int main(int argc, char** argv) {
       smoke ? std::vector<std::uint32_t>{1, 2}
             : std::vector<std::uint32_t>{1, 2, 4};
 
+  // Scenario 1: placement A/B under streaming readers; scenario 2: fairness
+  // policies under two-tenant contention.
   std::vector<Cell> cells;
-  // Scenario 1: placement A/B under streaming readers.
-  const Cell hash = run_cell(
-      "seq-readers", seq_reader_params(bc::Placement::kHash, smoke), workers);
-  const Cell aligned = run_cell(
-      "seq-readers", seq_reader_params(bc::Placement::kLocalityAligned, smoke),
-      workers);
-  cells.push_back(hash);
-  cells.push_back(aligned);
-
-  // Scenario 2: fairness policies under two-tenant contention.
-  Cell fifo, size_fair;
+  for (const auto placement :
+       {bc::Placement::kHash, bc::Placement::kLocalityAligned}) {
+    cells.push_back(run_cell("seq-readers",
+                             seq_reader_params(placement, smoke), workers));
+  }
   for (const auto policy : {bc::SchedPolicy::kFifo, bc::SchedPolicy::kSizeFair,
                             bc::SchedPolicy::kJobFair}) {
-    Cell c = run_cell("two-tenant-contention",
-                      contention_params(policy, smoke), workers);
-    if (policy == bc::SchedPolicy::kFifo) fifo = c;
-    if (policy == bc::SchedPolicy::kSizeFair) size_fair = c;
-    cells.push_back(std::move(c));
+    cells.push_back(run_cell("two-tenant-contention",
+                             contention_params(policy, smoke), workers));
   }
+  const Cell& hash = cells[0];
+  const Cell& aligned = cells[1];
+  const Cell& fifo = cells[2];
+  const Cell& size_fair = cells[3];
 
-  write_json(out_path, smoke, cells);
-  std::printf("wrote %s\n\n", out_path.c_str());
-
-  bool ok = true;
+  auto& json = report.json();
+  json.begin_array("cells");
+  bool deterministic = true;
   for (const auto& c : cells) {
-    if (!c.deterministic) ok = false;
+    write_cell(json, c);
+    deterministic = deterministic && c.deterministic;
   }
-  std::printf("determinism: digests identical across worker counts at every "
-              "cell: %s\n", ok ? "PASS" : "FAIL");
+  json.end();
+
+  report.gate("determinism", deterministic,
+              "determinism: digests identical across worker counts at every "
+              "cell");
 
   const double read_ratio =
       aligned.backend_reads > 0
           ? static_cast<double>(hash.backend_reads) /
                 static_cast<double>(aligned.backend_reads)
           : 0.0;
-  const bool placement_ok = read_ratio >= 2.0 &&
-                            aligned.virtual_ms < hash.virtual_ms;
-  std::printf("acceptance: aligned placement batches backend reads "
+  report.gate("placement",
+              read_ratio >= 2.0 && aligned.virtual_ms < hash.virtual_ms,
+              "acceptance: aligned placement batches backend reads "
               "(%llu -> %llu, x%.1f fewer) and finishes earlier "
-              "(%.3f ms vs %.3f ms): %s\n",
+              "(%.3f ms vs %.3f ms)",
               static_cast<unsigned long long>(hash.backend_reads),
               static_cast<unsigned long long>(aligned.backend_reads),
-              read_ratio, aligned.virtual_ms, hash.virtual_ms,
-              placement_ok ? "PASS" : "FAIL");
-  if (!placement_ok) ok = false;
-
-  const bool fairness_ok = size_fair.rate_gap < fifo.rate_gap;
-  std::printf("acceptance: size-fair narrows the tenant byte-rate gap vs "
-              "FIFO (%.3f -> %.3f): %s\n",
-              fifo.rate_gap, size_fair.rate_gap,
-              fairness_ok ? "PASS" : "FAIL");
-  if (!fairness_ok) ok = false;
-
-  return ok ? 0 : 1;
+              read_ratio, aligned.virtual_ms, hash.virtual_ms);
+  report.gate("fairness", size_fair.rate_gap < fifo.rate_gap,
+              "acceptance: size-fair narrows the tenant byte-rate gap vs "
+              "FIFO (%.3f -> %.3f)",
+              fifo.rate_gap, size_fair.rate_gap);
+  return report.finish();
 }

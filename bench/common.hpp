@@ -7,9 +7,13 @@
 // laptop-class host.
 #pragma once
 
+#include <sys/resource.h>
+
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
+#include "bench/report.hpp"
 #include "symbiosys/analysis.hpp"
 #include "symbiosys/records.hpp"
 #include "workloads/hepnos_world.hpp"
@@ -47,6 +51,14 @@ inline double sum_target_interval(
     }
   }
   return total;
+}
+
+/// Process-wide peak resident set (getrusage ru_maxrss, KiB on Linux), in
+/// bytes. A high-water mark: it never decreases within a run.
+inline std::uint64_t peak_rss_bytes() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;
 }
 
 inline void print_header(const char* what, const char* paper_ref) {

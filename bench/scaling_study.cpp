@@ -24,26 +24,18 @@
 // sparse merge must also never visit more pairs than the lanes registered
 // dirty — both gates run in smoke mode, so CI catches a regression.
 //
-// Interpreting the speedup honestly requires the host CPU count, which is
-// recorded as `host_cpus` in the JSON: workers beyond the physical cores
-// time-slice a single core and cannot beat workers=1 (they only pay the
-// window-barrier overhead). The parallel-efficiency acceptance target
-// (>= 2.5x at 4 workers, >= 64 nodes) is therefore evaluated only when
-// host_cpus >= 4 and reported as SKIPPED otherwise — see EXPERIMENTS.md.
-// The window/pair-ratio acceptance (>= 5x fewer windows, >= 10x fewer
-// merged pairs at 64 nodes) is host-independent and always evaluated in
-// full mode; smoke mode has no recorded legacy counts and skips it.
+// Workers beyond the host's cores time-slice and cannot beat workers=1, so
+// the parallel-efficiency target (>= 2.5x at 4 workers, >= 64 nodes) is
+// evaluated only when host_cpus >= 4 and recorded as SKIPPED otherwise —
+// see EXPERIMENTS.md. The window/pair-ratio gates (>= 5x fewer windows,
+// >= 10x fewer merged pairs at 64 nodes) are host-independent; smoke mode
+// has no recorded legacy counts and records them as SKIPPED.
 //
-// Results land in BENCH_scaling.json (override with --out PATH). --smoke
-// shrinks node counts and event volumes for CI.
-#include <sys/resource.h>
-
+// Results land in BENCH_scaling.json (override with --out PATH), with
+// host_cpus and every gate verdict. --smoke shrinks node counts and event
+// volumes for CI.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -55,7 +47,7 @@ namespace {
 
 // Window counts of the lockstep protocol (global lookahead, no quiet
 // extension), which the engine no longer has, on this bench's full-mode
-// deployments: the "protocol": "legacy" cells of BENCH_scaling.json. A
+// deployments, as recorded in the weak-scaling table of EXPERIMENTS.md. A
 // schedule is a pure function of deployment and seed, so they are exact.
 constexpr std::uint64_t kLegacyWindows16Nodes = 501;
 constexpr std::uint64_t kLegacyWindows64Nodes = 974;
@@ -151,9 +143,7 @@ Cell run_cell(std::uint32_t nodes, std::uint32_t workers, bool smoke) {
       c.events_processed > 0
           ? static_cast<double>(c.allocations) / c.events_processed
           : 0;
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  c.peak_rss = static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;
+  c.peak_rss = peak_rss_bytes();
   return c;
 }
 
@@ -167,77 +157,39 @@ void print_cell(const Cell& c) {
               static_cast<unsigned long long>(c.merge_pairs), c.speedup_vs_1w);
 }
 
-void write_json(const std::string& path, bool smoke, unsigned host_cpus,
-                const std::vector<Cell>& cells,
-                const std::vector<Ablation>& ablation) {
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"scaling_study\",\n"
-      << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-      << "  \"host_cpus\": " << host_cpus << ",\n"
-      << "  \"cells\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const auto& c = cells[i];
-    char buf[768];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"nodes\": %u, \"lanes\": %u, \"workers\": %u, "
-        "\"protocol\": \"matrix\", \"virtual_ms\": %.6f, \"wall_ms\": %.3f, "
-        "\"events_processed\": %llu, \"events_stored\": %llu, "
-        "\"windows\": %llu, \"merge_pairs\": %llu, \"dirty_pairs\": %llu, "
-        "\"quiet_windows\": %llu, \"causality_clamps\": %llu, "
-        "\"allocations\": %llu, \"alloc_per_event\": %.6f, "
-        "\"peak_rss_bytes\": %llu, "
-        "\"speedup_vs_1w\": %.3f}%s\n",
-        c.nodes, c.lanes, c.workers, c.virtual_ms, c.wall_ms,
-        static_cast<unsigned long long>(c.events_processed),
-        static_cast<unsigned long long>(c.events_stored),
-        static_cast<unsigned long long>(c.windows),
-        static_cast<unsigned long long>(c.merge_pairs),
-        static_cast<unsigned long long>(c.dirty_pairs),
-        static_cast<unsigned long long>(c.quiet_windows),
-        static_cast<unsigned long long>(c.clamps),
-        static_cast<unsigned long long>(c.allocations), c.alloc_per_event,
-        static_cast<unsigned long long>(c.peak_rss), c.speedup_vs_1w,
-        i + 1 < cells.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ],\n  \"ablation\": [\n";
-  for (std::size_t i = 0; i < ablation.size(); ++i) {
-    const auto& a = ablation[i];
-    char buf[384];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"nodes\": %u, \"lanes\": %u, \"legacy_windows\": %llu, "
-        "\"legacy_dense_pairs\": %llu, \"matrix_windows\": %llu, "
-        "\"matrix_merge_pairs\": %llu, \"window_ratio\": %.2f, "
-        "\"pair_ratio\": %.2f}%s\n",
-        a.nodes, a.lanes, static_cast<unsigned long long>(a.legacy_windows),
-        static_cast<unsigned long long>(a.legacy_dense_pairs),
-        static_cast<unsigned long long>(a.matrix_windows),
-        static_cast<unsigned long long>(a.matrix_merge_pairs), a.window_ratio,
-        a.pair_ratio, i + 1 < ablation.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ]\n}\n";
+void write_cell(JsonWriter& json, const Cell& c) {
+  json.begin_object()
+      .field("nodes", c.nodes)
+      .field("lanes", c.lanes)
+      .field("workers", c.workers)
+      .field("protocol", "matrix")
+      .field("virtual_ms", c.virtual_ms)
+      .field("wall_ms", c.wall_ms)
+      .field("events_processed", c.events_processed)
+      .field("events_stored", c.events_stored)
+      .field("windows", c.windows)
+      .field("merge_pairs", c.merge_pairs)
+      .field("dirty_pairs", c.dirty_pairs)
+      .field("quiet_windows", c.quiet_windows)
+      .field("causality_clamps", c.clamps)
+      .field("allocations", c.allocations)
+      .field("alloc_per_event", c.alloc_per_event)
+      .field("peak_rss_bytes", c.peak_rss)
+      .field("speedup_vs_1w", c.speedup_vs_1w)
+      .end();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_scaling.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    }
-  }
+  Report report("scaling_study",
+                parse_study_args(argc, argv, "BENCH_scaling.json"));
+  const bool smoke = report.smoke();
 
   print_header("HEPnOS weak scaling: lanes x workers sweep",
                "sharded-engine scaling study");
 
-  const unsigned host_cpus = std::thread::hardware_concurrency();
+  const unsigned host_cpus = report.host_cpus();
   const std::vector<std::uint32_t> node_scales =
       smoke ? std::vector<std::uint32_t>{8, 16}
             : std::vector<std::uint32_t>{16, 64};
@@ -248,7 +200,8 @@ int main(int argc, char** argv) {
                               "EXPERIMENTS.md)"
                             : "");
 
-  std::vector<Cell> cells;
+  auto& json = report.json();
+  json.begin_array("cells");
   std::vector<Ablation> ablations;
   bool deterministic = true;
   bool merge_sparse = true;
@@ -280,7 +233,7 @@ int main(int argc, char** argv) {
       if (c.merge_pairs > c.dirty_pairs) merge_sparse = false;
       if (workers == 4 && nodes >= 64) speedup_4w_large = c.speedup_vs_1w;
       print_cell(c);
-      cells.push_back(c);
+      write_cell(json, c);
     }
     if (ab.legacy_windows == 0) continue;  // no recorded reference
 
@@ -311,42 +264,47 @@ int main(int argc, char** argv) {
     }
     ablations.push_back(ab);
   }
+  json.end();
+  json.begin_array("ablation");
+  for (const auto& a : ablations) {
+    json.begin_object()
+        .field("nodes", a.nodes)
+        .field("lanes", a.lanes)
+        .field("legacy_windows", a.legacy_windows)
+        .field("legacy_dense_pairs", a.legacy_dense_pairs)
+        .field("matrix_windows", a.matrix_windows)
+        .field("matrix_merge_pairs", a.matrix_merge_pairs)
+        .field("window_ratio", a.window_ratio)
+        .field("pair_ratio", a.pair_ratio)
+        .end();
+  }
+  json.end();
 
-  write_json(out_path, smoke, host_cpus, cells, ablations);
-  std::printf("\nwrote %s\n", out_path.c_str());
-
-  if (!deterministic) {
-    std::printf("acceptance: FAIL — events_processed or event digest "
-                "diverged across worker counts (determinism violation)\n");
-    return 1;
+  std::printf("\n");
+  report.gate("determinism", deterministic,
+              "determinism: events_processed and digest identical across "
+              "all worker counts");
+  report.gate("sparse_merge", merge_sparse,
+              "sparse merge: pairs visited <= pairs registered dirty in "
+              "every cell");
+  if (smoke) {
+    report.skip("window_ratio", "smoke run has no recorded legacy reference");
+    report.skip("pair_ratio", "smoke run has no recorded legacy reference");
+  } else {
+    report.gate("window_ratio", window_ratio_large >= 5.0,
+                "acceptance: window ratio at >=64 nodes: x%.1f >= 5",
+                window_ratio_large);
+    report.gate("pair_ratio", pair_ratio_large >= 10.0,
+                "acceptance: merge-pair ratio at >=64 nodes: x%.1f >= 10",
+                pair_ratio_large);
   }
-  std::printf("determinism: events_processed and digest identical across "
-              "all worker counts: PASS\n");
-  if (!merge_sparse) {
-    std::printf("acceptance: FAIL — merge sweep visited more pairs than "
-                "the lanes registered dirty (dense-sweep regression)\n");
-    return 1;
+  if (smoke || host_cpus < 4) {
+    report.skip("speedup_4w",
+                smoke ? "smoke run" : "host has fewer than 4 cpus");
+  } else {
+    report.gate("speedup_4w", speedup_4w_large >= 2.5,
+                "acceptance: speedup at 4 workers / >=64 nodes: x%.2f >= 2.5",
+                speedup_4w_large);
   }
-  std::printf("sparse merge: pairs visited <= pairs registered dirty in "
-              "every cell: PASS\n");
-  if (!smoke) {
-    const bool win_ok = window_ratio_large >= 5.0;
-    const bool pair_ok = pair_ratio_large >= 10.0;
-    std::printf("acceptance: window ratio at >=64 nodes: x%.1f >= 5: %s\n",
-                window_ratio_large, win_ok ? "PASS" : "FAIL");
-    std::printf("acceptance: merge-pair ratio at >=64 nodes: x%.1f >= 10: "
-                "%s\n",
-                pair_ratio_large, pair_ok ? "PASS" : "FAIL");
-    if (!win_ok || !pair_ok) return 1;
-  }
-  if (host_cpus >= 4 && !smoke) {
-    const bool ok = speedup_4w_large >= 2.5;
-    std::printf("acceptance: speedup at 4 workers / >=64 nodes: x%.2f "
-                ">= 2.5: %s\n",
-                speedup_4w_large, ok ? "PASS" : "FAIL");
-    return ok ? 0 : 1;
-  }
-  std::printf("acceptance: parallel-efficiency target SKIPPED (%s)\n",
-              smoke ? "smoke run" : "host has fewer than 4 cpus");
-  return 0;
+  return report.finish();
 }

@@ -11,6 +11,9 @@
 # committed trajectory files at the repo root (BENCH_overhead.json,
 # BENCH_scaling.json, BENCH_cache.json, BENCH_scale.json) — full mode
 # only, so a smoke run can never clobber real numbers.
+#
+# Every bench runs even after one fails (each study JSON records its own
+# gate verdicts); the script prints each exit status, exits 1 if any failed.
 
 set -eu
 
@@ -18,61 +21,57 @@ root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 build=${1:-"$root/build"}
 out=${2:-"$build/bench-results"}
 
+smoke_flag=""
+if [ "${SYM_BENCH_SMOKE:-0}" = "1" ]; then
+  smoke_flag="--smoke"
+fi
+if [ "${SYM_BENCH_COMMIT_ROOT:-0}" = "1" ] && [ -n "$smoke_flag" ]; then
+  echo "run_bench: refusing to refresh root BENCH files from a smoke run"
+  exit 1
+fi
+
 if [ ! -f "$build/CMakeCache.txt" ]; then
   cmake -S "$root" -B "$build"
 fi
 cmake --build "$build" -j"$(nproc 2>/dev/null || echo 2)"
 
 mkdir -p "$out"
+rm -f "$out"/BENCH_*.json  # a study that dies must not leave a stale file
 
-smoke_flag=""
-if [ "${SYM_BENCH_SMOKE:-0}" = "1" ]; then
-  smoke_flag="--smoke"
-fi
+# The trajectory studies and their result files (gates: EXPERIMENTS.md).
+studies="overhead_study:BENCH_overhead scaling_study:BENCH_scaling
+cache_fairness_study:BENCH_cache scale_study:BENCH_scale"
 
-echo "== overhead_study =="
-# Exits non-zero if the FULL stage exceeds the 1.5x acceptance bound.
-"$build/bench/overhead_study" $smoke_flag --out "$out/BENCH_overhead.json"
+summary=""
+failed=0
+# run <bench> <args...>: run one bench binary, record its exit status.
+run() {
+  bench=$1
+  shift
+  echo "== $bench =="
+  if "$build/bench/$bench" "$@"; then status=0; else status=$?; failed=1; fi
+  summary="$summary
+  $bench: exit $status"
+}
 
-echo "== scaling_study =="
-# Weak-scaling sweep of the sharded engine (lanes x workers). Fails on a
-# determinism violation; the parallel-efficiency target is evaluated only
-# when the host has >= 4 cpus (recorded as host_cpus in the JSON).
-"$build/bench/scaling_study" $smoke_flag --out "$out/BENCH_scaling.json"
-
-echo "== cache_fairness_study =="
-# Blockcache placement A/B and fair-share policy study. Fails when a cell's
-# digests diverge across worker counts, when aligned placement stops
-# beating hash, or when size-fair stops narrowing the FIFO rate gap.
-"$build/bench/cache_fairness_study" $smoke_flag --out "$out/BENCH_cache.json"
-
-echo "== scale_study =="
-# Million-request scale study over the replayed application mixes. Fails
-# when checksums/event counts diverge across worker counts, when any
-# reserved cell allocates in its second half (steady-state zero-allocation
-# gate), or when the full-mode ladder misses 1M concurrent in-flight.
-"$build/bench/scale_study" $smoke_flag --out "$out/BENCH_scale.json"
-
-echo "== micro_benchmarks =="
-"$build/bench/micro_benchmarks" \
-  --benchmark_out="$out/BENCH_micro.json" \
-  --benchmark_out_format=json \
-  ${smoke_flag:+--benchmark_min_time=0.01}
+for s in $studies; do
+  run "${s%%:*}" $smoke_flag --out "$out/${s#*:}.json"
+done
+run micro_benchmarks --benchmark_out="$out/BENCH_micro.json" \
+  --benchmark_out_format=json ${smoke_flag:+--benchmark_min_time=0.01}
 
 if [ "${SYM_BENCH_COMMIT_ROOT:-0}" = "1" ]; then
-  if [ -n "$smoke_flag" ]; then
-    echo "run_bench: refusing to refresh root BENCH files from a smoke run"
-    exit 1
-  fi
-  cp "$out/BENCH_overhead.json" "$root/BENCH_overhead.json"
-  cp "$out/BENCH_scaling.json" "$root/BENCH_scaling.json"
-  cp "$out/BENCH_cache.json" "$root/BENCH_cache.json"
-  cp "$out/BENCH_scale.json" "$root/BENCH_scale.json"
-  echo "refreshed committed trajectory files: $root/BENCH_overhead.json," \
-       "$root/BENCH_scaling.json, $root/BENCH_cache.json," \
-       "$root/BENCH_scale.json"
+  for s in $studies; do
+    f=${s#*:}.json
+    if [ -f "$out/$f" ]; then
+      cp "$out/$f" "$root/$f"
+      echo "refreshed committed trajectory file: $root/$f"
+    fi
+  done
 fi
 
 echo
 echo "results in $out:"
 ls -l "$out"/BENCH_*.json
+echo "exit status:$summary"
+exit "$failed"

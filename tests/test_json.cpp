@@ -1,8 +1,15 @@
-// Unit + property tests for the Sonata JSON implementation.
+// Unit + property tests for the Sonata JSON implementation, and the bench
+// report writer (bench/report.hpp) checked against its parser.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <string>
 
+#include "bench/report.hpp"
 #include "services/sonata/json.hpp"
 #include "simkit/rng.hpp"
 
@@ -173,3 +180,81 @@ TEST_P(JsonRoundTripProperty, DumpParseStable) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JsonRoundTripProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+// ---------------------------------------------------------------------------
+// bench/report.hpp: the trajectory studies' JSON writer and gate ledger
+// ---------------------------------------------------------------------------
+
+TEST(BenchReport, DocumentAndGateLedgerParseBack) {
+  const bench::StudyArgs args{true, ::testing::TempDir() + "bench_gates.json"};
+  const std::string tricky = std::string("a\"b\\c") + '\x01' + "d";
+  bench::Report report("report_test", args);
+  auto& w = report.json();
+  w.field("name", tricky)
+      .field("max", std::numeric_limits<std::uint64_t>::max())
+      .field("ratio", 0.1)
+      .field("whole", 2.0)
+      .field("signed", -3)
+      .begin_array("cells");
+  w.begin_object().field("id", 1u).begin_array("ops");
+  w.begin_object().field("op", "x").end().begin_object().field("op", "y").end();
+  w.end().end();
+  w.begin_object().field("flag", true).begin_array("ops").end().end();
+  w.end();
+  EXPECT_TRUE(report.gate("good", true, "check %d", 1));
+  EXPECT_FALSE(report.gate("bad", false, "check %d", 2));
+  report.skip("later", "smoke run");
+  EXPECT_EQ(report.finish(), 1);
+
+  std::ifstream in(args.out);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  // Insertion order (the parser's std::map would hide a reordering), uint64
+  // printed unsigned, doubles shortest and always with a '.', one array row
+  // per line with nested arrays indented one level more, gates last.
+  EXPECT_EQ(text, "{\n"
+                  "  \"bench\": \"report_test\",\n"
+                  "  \"smoke\": true,\n"
+                  "  \"host_cpus\": " +
+                      std::to_string(report.host_cpus()) + ",\n"
+                  "  \"name\": \"a\\\"b\\\\c\\u0001d\",\n"
+                  "  \"max\": 18446744073709551615,\n"
+                  "  \"ratio\": 0.1,\n"
+                  "  \"whole\": 2.0,\n"
+                  "  \"signed\": -3,\n"
+                  "  \"cells\": [\n"
+                  "    {\"id\": 1, \"ops\": [\n"
+                  "      {\"op\": \"x\"},\n"
+                  "      {\"op\": \"y\"}\n"
+                  "    ]},\n"
+                  "    {\"flag\": true, \"ops\": []}\n"
+                  "  ],\n"
+                  "  \"gates\": {\"good\": \"PASS\", \"bad\": \"FAIL\", "
+                  "\"later\": \"SKIPPED\"}\n"
+                  "}\n");
+  const auto v = json::parse(text);
+  EXPECT_EQ(v.find("name")->as_string(), tricky);
+  EXPECT_DOUBLE_EQ(v.find("max")->as_number(), 18446744073709551615.0);
+  EXPECT_TRUE(v.find("ratio")->is_double());
+  EXPECT_EQ(v.find("ratio")->as_number(), 0.1);
+  EXPECT_TRUE(v.find("whole")->is_double());
+  EXPECT_EQ(v.find_path("cells[0].ops[1].op")->as_string(), "y");
+  EXPECT_EQ(v.find_path("gates.later")->as_string(), "SKIPPED");
+
+  bench::Report passing("report_test", args);  // SKIPPED does not fail
+  passing.skip("later", "host has fewer than 4 cpus");
+  EXPECT_EQ(passing.finish(), 0);
+  std::remove(args.out.c_str());
+}
+
+TEST(BenchReport, StudyArgsParseAndReject) {
+  const char* argv[] = {"study", "--out", "x.json", "--smoke", "--smoek"};
+  auto** args = const_cast<char**>(argv);
+  EXPECT_EQ(bench::parse_study_args(1, args, "D").out, "D");
+  EXPECT_TRUE(bench::parse_study_args(4, args, "D").smoke);
+  EXPECT_EQ(bench::parse_study_args(4, args, "D").out, "x.json");
+  EXPECT_EXIT(bench::parse_study_args(2, args, "D"),
+              ::testing::ExitedWithCode(2), "no path after '--out'");
+  EXPECT_EXIT(bench::parse_study_args(5, args, "D"),
+              ::testing::ExitedWithCode(2), "bad argument '--smoek'");
+}

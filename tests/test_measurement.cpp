@@ -1,10 +1,15 @@
 // Tests for the fast-path measurement pipeline: sharded profile stores
-// (consolidation equivalence), the flat-hash ProfileStore and its memo
-// under rehash, chunked trace buffers (iteration order, ring eviction),
-// and the CallpathKeyHash bucket distribution under power-of-two masking.
+// (consolidation equivalence), the flat-hash ProfileStore (its memo under
+// rehash, and a std::map reference on a deployment-shaped stream), chunked
+// trace buffers (iteration order, ring eviction), and the CallpathKeyHash
+// bucket distribution under power-of-two masking.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
+#include <numeric>
+#include <tuple>
 #include <vector>
 
 #include "symbiosys/analysis.hpp"
@@ -131,6 +136,71 @@ TEST(ProfileStore, RecordBatchEqualsSequentialRecords) {
     EXPECT_EQ(a->at(iv).min_ns, b->at(iv).min_ns);
     EXPECT_EQ(a->at(iv).max_ns, b->at(iv).max_ns);
   }
+}
+
+// The deployment-shaped record stream: 16 client stores and one server
+// store, interleaved op by op; per op a 4-sample origin batch, a 5-sample
+// target batch and the response callback's single record. Two callpaths
+// alternate by round so the memo misses as well as hits. Every
+// (store, key, interval) must match the raw samples in count/sum/min/max.
+TEST(ProfileStore, MatchesReferenceMapOnInterleavedStream) {
+  using S = prof::IntervalSample;
+  using I = prof::Interval;
+  constexpr std::uint32_t kClients = 16, kServer = kClients, kServerEp = 100;
+  using RefKey = std::tuple<std::uint32_t, std::uint64_t, prof::Side,
+                            std::uint32_t, std::uint32_t, int>;
+  auto ref_key = [](std::uint32_t st, const prof::CallpathKey& k, int iv) {
+    return RefKey{st, k.breadcrumb, k.side, k.self_ep, k.peer_ep, iv};
+  };
+  std::map<RefKey, std::vector<double>> ref;  // samples in record order
+  std::vector<prof::ProfileStore> stores(kClients + 1);
+  auto record = [&](std::uint32_t st, const prof::CallpathKey& k,
+                    const auto&... xs) {
+    if constexpr (sizeof...(xs) == 1) {
+      (stores[st].record(k, xs.iv, xs.ns), ...);
+    } else {
+      stores[st].record_batch(k, xs...);
+    }
+    for (const S& x : {xs...}) {
+      ref[ref_key(st, k, static_cast<int>(x.iv))].push_back(x.ns);
+    }
+  };
+  const prof::Breadcrumb callpaths[] = {prof::extend(0x1111, 0x55AA),
+                                        prof::extend(0x1111, 0x66BB)};
+  for (std::uint32_t op = 0; op < 8'000; ++op) {
+    const std::uint32_t c = op % kClients;
+    const std::uint32_t ep = 0x9E37u * c + 7;  // scattered client addresses
+    const auto bc = callpaths[(op / kClients) % 2];
+    const prof::CallpathKey ok{bc, prof::Side::kOrigin, ep, kServerEp};
+    const prof::CallpathKey tk{bc, prof::Side::kTarget, kServerEp, ep};
+    const double ns = static_cast<double>(1 + (op * 7919 % 251));
+    record(c, ok, S{I::kOriginExec, ns}, S{I::kInputSer, ns + 1},
+           S{I::kOriginCallback, ns + 2}, S{I::kOutputDeser, ns + 3});
+    record(kServer, tk, S{I::kHandlerWait, ns}, S{I::kTargetExec, 2 * ns},
+           S{I::kInputDeser, ns + 4}, S{I::kOutputSer, ns + 5},
+           S{I::kInternalRdma, ns + 6});
+    record(kServer, tk, S{I::kTargetCallback, ns / 2});
+  }
+
+  std::size_t matched = 0;
+  for (std::uint32_t st = 0; st <= kServer; ++st) {
+    EXPECT_EQ(stores[st].size(), st == kServer ? 2 * kClients : 2u);
+    for (const auto& [key, stats] : stores[st].entries()) {
+      for (int i = 0; i < static_cast<int>(I::kCount); ++i) {
+        const auto& got = stats.at(static_cast<I>(i));
+        if (got.count == 0) continue;
+        const auto it = ref.find(ref_key(st, key, i));
+        ASSERT_NE(it, ref.end()) << "store " << st << " interval " << i;
+        const auto& xs = it->second;
+        EXPECT_EQ(got.count, xs.size());
+        EXPECT_EQ(got.sum_ns, std::accumulate(xs.begin(), xs.end(), 0.0));
+        EXPECT_EQ(got.min_ns, *std::min_element(xs.begin(), xs.end()));
+        EXPECT_EQ(got.max_ns, *std::max_element(xs.begin(), xs.end()));
+        ++matched;
+      }
+    }
+  }
+  EXPECT_EQ(matched, ref.size());
 }
 
 TEST(ProfileStore, ClearDropsMemoAndEntries) {
