@@ -19,10 +19,11 @@
 //
 // The safe-window protocol guarantees bit-identical simulations for every
 // worker count, so the sweep doubles as a large-scale determinism check:
-// events_processed (and, under -DSYM_DEBUG_CHECKS=ON, the per-lane event
-// digest) must match across the worker column or the bench fails. The
-// sparse merge must also never visit more pairs than the lanes registered
-// dirty — both gates run in smoke mode, so CI catches a regression.
+// events_processed and the event digest (a fold of every executed event's
+// timestamp and FIFO sequence, kept in every build) must match across the
+// worker column or the bench fails. The sparse merge must also never visit
+// more pairs than the lanes registered dirty — both gates run in smoke
+// mode, so CI catches a regression.
 //
 // Workers beyond the host's cores time-slice and cannot beat workers=1, so
 // the parallel-efficiency target (>= 2.5x at 4 workers, >= 64 nodes) is
@@ -73,7 +74,7 @@ struct Cell {
   std::uint64_t dirty_pairs = 0;   ///< pairs registered by first posts
   std::uint64_t quiet_windows = 0; ///< windows stretched by quiet extension
   std::uint64_t clamps = 0;        ///< events clamped by a lost extension bet
-  std::uint64_t digest = 0;        ///< event digest (0 unless SYM_DEBUG_CHECKS)
+  std::uint64_t digest = 0;        ///< Engine::event_digest()
   std::uint64_t allocations = 0;   ///< arena growths + SmallFn heap spills
   double alloc_per_event = 0;      ///< allocations / events_processed
   std::uint64_t peak_rss = 0;      ///< ru_maxrss after the cell (monotonic)

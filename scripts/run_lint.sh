@@ -9,12 +9,6 @@
 #       Same full lint, but symlint additionally writes a SARIF 2.1.0 report
 #       to <out.sarif> (for code-scanning upload / editor ingestion). The
 #       report contains post-baseline findings only.
-#   scripts/run_lint.sh --diff <git-ref> [build-dir]
-#       Diff-aware symlint: only the TUs changed relative to <git-ref> (per
-#       `git diff --name-only`) plus their reverse include-dependents are
-#       re-analyzed; everything else is served from the incremental cache.
-#       Exits 77 (ctest SKIP) when the repo is not a git checkout. Run as
-#       the symlint_diff_smoke ctest target.
 #   scripts/run_lint.sh --tidy-smoke <build-dir>  # clang-tidy over two
 #       representative TUs only; exits 77 (ctest SKIP) when clang-tidy or
 #       compile_commands.json is unavailable. Run as the clang_tidy_smoke
@@ -30,16 +24,11 @@ root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 
 mode=full
 sarif_out=""
-diff_ref=""
 if [ "${1:-}" = "--tidy-smoke" ]; then
   mode=smoke
   shift
 elif [ "${1:-}" = "--sarif" ]; then
   sarif_out=${2:?"run_lint: --sarif needs an output path"}
-  shift 2
-elif [ "${1:-}" = "--diff" ]; then
-  mode=diff
-  diff_ref=${2:?"run_lint: --diff needs a git ref"}
   shift 2
 fi
 build=${1:-$root/build}
@@ -94,49 +83,11 @@ if [ -z "${symlint_bin:-}" ] || [ ! -x "$symlint_bin" ]; then
   exit 2
 fi
 
-if [ "$mode" = diff ]; then
-  # Diff-aware mode: changed TUs + reverse include-dependents only. A
-  # separate cache dir keeps this run from racing the full gate's cache
-  # when ctest schedules both in parallel; a cold cache just means the
-  # first diff run pays full price.
-  if ! command -v git >/dev/null 2>&1; then
-    echo "run_lint: git not installed, skipping diff lint"
-    exit 77
-  fi
-  if ! git -C "$root" rev-parse --is-inside-work-tree >/dev/null 2>&1; then
-    echo "run_lint: $root is not a git checkout, skipping diff lint"
-    exit 77
-  fi
-  changed=$(mktemp "${TMPDIR:-/tmp}/symlint-changed.XXXXXX") || exit 2
-  if ! git -C "$root" diff --name-only "$diff_ref" -- >"$changed" 2>/dev/null
-  then
-    rm -f "$changed"
-    echo "run_lint: git diff $diff_ref failed, skipping diff lint"
-    exit 77
-  fi
-  "$symlint_bin" --root "$root/src" \
-      --cache-dir "$build/symlint-cache-diff" \
-      --baseline "$root/tools/symlint/baseline.json" \
-      --pvars-doc "$root/docs/PVARS.md" \
-      --changed-list "$changed" \
-      ${sarif_out:+--sarif "$sarif_out"} \
-      --stats
-  rc=$?
-  rm -f "$changed"
-  if [ "$rc" -ne 0 ]; then
-    echo "run_lint: diff lint FAILED"
-    exit 1
-  fi
-  echo "run_lint: diff lint OK"
-  exit 0
-fi
-
-# Mirror the `symlint` ctest gate: cross-TU passes over src/, incremental
-# index cache in the build tree, findings filtered through the checked-in
-# baseline. --sarif additionally emits the machine-readable report.
+# Mirror the `symlint` ctest gate: one cold pass over src/ with the cross-TU
+# rules, findings filtered through the checked-in baseline. --sarif
+# additionally emits the machine-readable report.
 fail=0
 "$symlint_bin" --root "$root/src" \
-    --cache-dir "$build/symlint-cache" \
     --baseline "$root/tools/symlint/baseline.json" \
     --pvars-doc "$root/docs/PVARS.md" \
     ${sarif_out:+--sarif "$sarif_out"} \

@@ -1,6 +1,7 @@
 #include "services/sonata/json.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -45,6 +46,7 @@ const Value* Value::find_path(const std::string& path) const {
 }
 
 bool Value::operator==(const Value& o) const {
+  if (v_.index() == o.v_.index()) return v_ == o.v_;
   if (is_number() && o.is_number()) {
     // 1 == 1.0 for query friendliness.
     return as_number() == o.as_number();
@@ -255,6 +257,14 @@ class Parser {
       if (errno == 0 && end != nullptr && *end == '\0') {
         return Value(static_cast<std::int64_t>(v));
       }
+      // Above INT64_MAX but within uint64: keep every digit.
+      if (s_[start] != '-') {
+        errno = 0;
+        const unsigned long long u = std::strtoull(token.c_str(), &end, 10);
+        if (errno == 0 && end != nullptr && *end == '\0') {
+          return Value(static_cast<std::uint64_t>(u));
+        }
+      }
     }
     char* end = nullptr;
     const double d = std::strtod(token.c_str(), &end);
@@ -305,7 +315,8 @@ void dump_impl(std::string& out, const Value& v, int indent, int depth) {
           out += "null";
         } else if constexpr (std::is_same_v<T, bool>) {
           out += x ? "true" : "false";
-        } else if constexpr (std::is_same_v<T, std::int64_t>) {
+        } else if constexpr (std::is_same_v<T, std::int64_t> ||
+                             std::is_same_v<T, std::uint64_t>) {
           out += std::to_string(x);
         } else if constexpr (std::is_same_v<T, double>) {
           char buf[32];

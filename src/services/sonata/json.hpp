@@ -23,15 +23,24 @@ using Object = std::map<std::string, Value>;
 
 class Value {
  public:
-  using Storage = std::variant<std::nullptr_t, bool, std::int64_t, double,
-                               std::string, Array, Object>;
+  /// Integers are std::int64_t; std::uint64_t holds only values above
+  /// INT64_MAX, so every integer has exactly one representation.
+  using Storage = std::variant<std::nullptr_t, bool, std::int64_t,
+                               std::uint64_t, double, std::string, Array,
+                               Object>;
 
   Value() : v_(nullptr) {}
   Value(std::nullptr_t) : v_(nullptr) {}
   Value(bool b) : v_(b) {}
   Value(int i) : v_(static_cast<std::int64_t>(i)) {}
   Value(std::int64_t i) : v_(i) {}
-  Value(std::uint64_t i) : v_(static_cast<std::int64_t>(i)) {}
+  Value(std::uint64_t i) {
+    if (i <= static_cast<std::uint64_t>(INT64_MAX)) {
+      v_ = static_cast<std::int64_t>(i);
+    } else {
+      v_ = i;
+    }
+  }
   Value(double d) : v_(d) {}
   Value(const char* s) : v_(std::string(s)) {}
   Value(std::string s) : v_(std::move(s)) {}
@@ -50,8 +59,12 @@ class Value {
   [[nodiscard]] bool is_double() const noexcept {
     return std::holds_alternative<double>(v_);
   }
+  /// An integer above INT64_MAX (as_int() cannot hold it; as_uint() can).
+  [[nodiscard]] bool is_uint() const noexcept {
+    return std::holds_alternative<std::uint64_t>(v_);
+  }
   [[nodiscard]] bool is_number() const noexcept {
-    return is_int() || is_double();
+    return is_int() || is_uint() || is_double();
   }
   [[nodiscard]] bool is_string() const noexcept {
     return std::holds_alternative<std::string>(v_);
@@ -65,9 +78,18 @@ class Value {
 
   [[nodiscard]] bool as_bool() const { return std::get<bool>(v_); }
   [[nodiscard]] std::int64_t as_int() const { return std::get<std::int64_t>(v_); }
+  /// Any non-negative integer, exactly. Throws std::bad_variant_access
+  /// for a negative integer or a non-integer.
+  [[nodiscard]] std::uint64_t as_uint() const {
+    if (is_int() && std::get<std::int64_t>(v_) >= 0) {
+      return static_cast<std::uint64_t>(std::get<std::int64_t>(v_));
+    }
+    return std::get<std::uint64_t>(v_);
+  }
   [[nodiscard]] double as_number() const {
-    return is_int() ? static_cast<double>(std::get<std::int64_t>(v_))
-                    : std::get<double>(v_);
+    if (is_int()) return static_cast<double>(std::get<std::int64_t>(v_));
+    if (is_uint()) return static_cast<double>(std::get<std::uint64_t>(v_));
+    return std::get<double>(v_);
   }
   [[nodiscard]] const std::string& as_string() const {
     return std::get<std::string>(v_);

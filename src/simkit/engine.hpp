@@ -211,8 +211,8 @@ class Engine {
 
   /// Rolling digest of the executed event stream, folded over the lanes in
   /// lane-index order. Two runs with the same lane count must produce the
-  /// same digest for every worker_count; only maintained under
-  /// -DSYM_DEBUG_CHECKS=ON (0 otherwise). See docs/STATIC_ANALYSIS.md.
+  /// same digest for every worker_count. Maintained in every build (the
+  /// lane-ownership registry stays debug-only); see docs/STATIC_ANALYSIS.md.
   [[nodiscard]] std::uint64_t event_digest() const noexcept;
 
   /// Event-path allocation counters summed over every lane's arena. The

@@ -122,7 +122,6 @@ bool Lane::pop_and_run() {
     ++processed_;
     --pending_;
     next_dirty_ = true;
-#if SYM_DEBUG_CHECKS
     // Fold (timestamp, FIFO seq) of every executed event into the rolling
     // per-lane digest; identical schedules => identical digests.
     const auto mix = [](std::uint64_t h, std::uint64_t v) noexcept {
@@ -130,7 +129,6 @@ bool Lane::pop_and_run() {
       return h;
     };
     digest_ = mix(mix(digest_, top.t), top.seq);
-#endif
     Callback cb = std::move(arena_.cb(top.slot));
     // Release before running: a callback cancelling its own (now stale) id
     // or scheduling new events must see a consistent slot table.

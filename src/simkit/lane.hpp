@@ -54,10 +54,10 @@ class Lane {
   [[nodiscard]] std::uint64_t processed() const noexcept { return processed_; }
 
   /// Rolling digest of the executed event stream (timestamp + FIFO sequence
-  /// of every event run), folded per lane. Only maintained under
-  /// -DSYM_DEBUG_CHECKS=ON (always 0 otherwise); the debug_checks test
-  /// suite compares Engine::event_digest() across worker counts so a
-  /// determinism regression fails loudly instead of skewing figures.
+  /// of every event run), folded per lane. Maintained in every build (two
+  /// integer mixes per event); tests and scaling_study compare
+  /// Engine::event_digest() across worker counts so a determinism
+  /// regression fails loudly instead of skewing figures.
   [[nodiscard]] std::uint64_t digest() const noexcept { return digest_; }
 
   /// Allocation accounting for this lane's event path (slot table, heap,

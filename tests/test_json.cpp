@@ -35,6 +35,28 @@ TEST(Json, IntegerVsDoubleDetection) {
   EXPECT_TRUE(json::parse("7") == json::parse("7.0"));
 }
 
+// Integers above INT64_MAX (checksums, digests) keep every digit both ways;
+// every value up to INT64_MAX still prints and parses as a plain int.
+TEST(Json, Uint64AboveInt64MaxRoundTripsExactly) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const json::Value big(kMax);
+  EXPECT_TRUE(big.is_uint());
+  EXPECT_EQ(json::dump(big), "18446744073709551615");
+  const auto back = json::parse("18446744073709551615");
+  EXPECT_TRUE(back.is_uint());
+  EXPECT_EQ(back.as_uint(), kMax);
+  EXPECT_EQ(json::dump(back), "18446744073709551615");
+  EXPECT_FALSE(back == json::parse("18446744073709551614"));
+
+  constexpr auto kIntMax =
+      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
+  const json::Value edge(kIntMax);
+  EXPECT_TRUE(edge.is_int());
+  EXPECT_EQ(json::dump(edge), "9223372036854775807");
+  EXPECT_EQ(json::parse("9223372036854775808").as_uint(), kIntMax + 1);
+  EXPECT_TRUE(json::parse("-9223372036854775809").is_double());
+}
+
 TEST(Json, ParseNestedStructures) {
   const auto v = json::parse(R"({"a": [1, 2, {"b": "c"}], "d": {"e": null}})");
   ASSERT_TRUE(v.is_object());
@@ -192,6 +214,7 @@ TEST(BenchReport, DocumentAndGateLedgerParseBack) {
   auto& w = report.json();
   w.field("name", tricky)
       .field("max", std::numeric_limits<std::uint64_t>::max())
+      .field("checksum", std::uint64_t{12117502113442574165u})
       .field("ratio", 0.1)
       .field("whole", 2.0)
       .field("signed", -3)
@@ -219,6 +242,7 @@ TEST(BenchReport, DocumentAndGateLedgerParseBack) {
                       std::to_string(report.host_cpus()) + ",\n"
                   "  \"name\": \"a\\\"b\\\\c\\u0001d\",\n"
                   "  \"max\": 18446744073709551615,\n"
+                  "  \"checksum\": 12117502113442574165,\n"
                   "  \"ratio\": 0.1,\n"
                   "  \"whole\": 2.0,\n"
                   "  \"signed\": -3,\n"
@@ -234,7 +258,9 @@ TEST(BenchReport, DocumentAndGateLedgerParseBack) {
                   "}\n");
   const auto v = json::parse(text);
   EXPECT_EQ(v.find("name")->as_string(), tricky);
-  EXPECT_DOUBLE_EQ(v.find("max")->as_number(), 18446744073709551615.0);
+  EXPECT_EQ(v.find("max")->as_uint(),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(v.find("checksum")->as_uint(), 12117502113442574165u);
   EXPECT_TRUE(v.find("ratio")->is_double());
   EXPECT_EQ(v.find("ratio")->as_number(), 0.1);
   EXPECT_TRUE(v.find("whole")->is_double());

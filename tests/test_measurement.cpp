@@ -1,8 +1,7 @@
-// Tests for the fast-path measurement pipeline: sharded profile stores
-// (consolidation equivalence), the flat-hash ProfileStore (its memo under
-// rehash, and a std::map reference on a deployment-shaped stream), chunked
-// trace buffers (iteration order, ring eviction), and the CallpathKeyHash
-// bucket distribution under power-of-two masking.
+// Tests for the fast-path measurement pipeline: the flat-hash ProfileStore
+// (its memo under rehash, and a std::map reference on a deployment-shaped
+// stream), chunked trace buffers (iteration order, ring eviction), and the
+// CallpathKeyHash bucket distribution under power-of-two masking.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,65 +25,6 @@ prof::CallpathKey make_key(std::uint64_t bc, prof::Side side,
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Sharded vs unsharded equivalence
-// ---------------------------------------------------------------------------
-
-// Recording a stream through per-ES shards and consolidating must produce
-// bit-identical statistics to recording the same stream into one store.
-// Integer-valued durations keep double addition exact regardless of the
-// order the shard sums are combined in.
-TEST(ShardedProfileStore, ConsolidationMatchesUnshardedBitForBit) {
-  constexpr std::size_t kShards = 4;
-  prof::ProfileStore flat;
-  prof::ShardedProfileStore sharded;
-
-  for (std::uint32_t op = 0; op < 4096; ++op) {
-    const auto key = make_key(0x1000 + op % 7, prof::Side::kTarget,
-                              100, op % 13);
-    const auto iv = static_cast<prof::Interval>(
-        op % static_cast<std::uint32_t>(prof::Interval::kCount));
-    const double ns = static_cast<double>(1 + op % 257);
-    flat.record(key, iv, ns);
-    sharded.shard(op % kShards).record(key, iv, ns);
-  }
-
-  prof::ProfileStore consolidated;
-  sharded.consolidate_into(consolidated);
-  EXPECT_TRUE(sharded.all_empty());
-
-  ASSERT_EQ(consolidated.size(), flat.size());
-  for (const auto& [key, stats] : flat.entries()) {
-    const auto* other = consolidated.entries().find(key);
-    ASSERT_NE(other, nullptr);
-    for (int i = 0; i < static_cast<int>(prof::Interval::kCount); ++i) {
-      const auto iv = static_cast<prof::Interval>(i);
-      EXPECT_EQ(stats.at(iv).count, other->at(iv).count);
-      EXPECT_EQ(stats.at(iv).sum_ns, other->at(iv).sum_ns);
-      EXPECT_EQ(stats.at(iv).min_ns, other->at(iv).min_ns);
-      EXPECT_EQ(stats.at(iv).max_ns, other->at(iv).max_ns);
-    }
-  }
-}
-
-// Consolidation clears the shards, so a second consolidation must not
-// double-count anything.
-TEST(ShardedProfileStore, RepeatedConsolidationDoesNotDoubleCount) {
-  prof::ShardedProfileStore sharded;
-  const auto key = make_key(0x42, prof::Side::kOrigin, 1, 2);
-  sharded.shard(0).record(key, prof::Interval::kOriginExec, 5.0);
-  sharded.shard(1).record(key, prof::Interval::kOriginExec, 7.0);
-
-  prof::ProfileStore out;
-  sharded.consolidate_into(out);
-  sharded.consolidate_into(out);
-
-  const auto* stats = out.entries().find(key);
-  ASSERT_NE(stats, nullptr);
-  EXPECT_EQ(stats->at(prof::Interval::kOriginExec).count, 2u);
-  EXPECT_EQ(stats->at(prof::Interval::kOriginExec).sum_ns, 12.0);
-}
 
 // ---------------------------------------------------------------------------
 // ProfileStore: flat hash + memo

@@ -184,7 +184,7 @@ WorkloadDigest run_mobject(std::uint32_t workers) {
   return digest_of(world);
 }
 
-WorkloadDigest run_hepnos(std::uint32_t workers) {
+HepnosWorld::Params hepnos_params(std::uint32_t workers) {
   HepnosWorld::Params p;  // default config: 2 server nodes + 2 client nodes
   p.config.total_clients = 4;
   p.config.clients_per_node = 2;
@@ -193,7 +193,11 @@ WorkloadDigest run_hepnos(std::uint32_t workers) {
   p.files_per_client = 1;
   p.exec.lane_count = 0;  // auto: one lane per node
   p.exec.worker_count = workers;
-  HepnosWorld world(p);
+  return p;
+}
+
+WorkloadDigest run_hepnos(std::uint32_t workers) {
+  HepnosWorld world(hepnos_params(workers));
   world.run();
   return digest_of(world);
 }
@@ -228,6 +232,25 @@ TEST(ParallelWorkloads, HepnosBitIdenticalAcrossWorkerCounts) {
         << "workers=" << workers;
     EXPECT_EQ(got.final_now, baseline.final_now) << "workers=" << workers;
   }
+}
+
+// The event digest is kept in every build, so the release-build determinism
+// gates (scaling_study, Loadgen.WorkerCountIndependenceOn100kRequestMix)
+// compare a fold of the executed schedule. Without the per-lane fold the
+// digest is still non-zero (Engine::event_digest mixes a constant per
+// lane), so the seed check is the one that tells the two apart.
+TEST(ParallelWorkloads, HepnosEventDigestIsLiveInEveryBuild) {
+  const auto digest = [](std::uint64_t seed, std::uint32_t workers) {
+    HepnosWorld::Params p = hepnos_params(workers);
+    p.seed = seed;
+    HepnosWorld world(p);
+    world.run();
+    return world.engine().event_digest();
+  };
+  const std::uint64_t seed42 = digest(42, 1);
+  EXPECT_NE(seed42, 0u);
+  EXPECT_EQ(digest(42, 4), seed42);
+  EXPECT_NE(digest(43, 1), seed42);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@
 // in trailing comments; editing a fixture means updating both.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -549,156 +548,11 @@ TEST(SymlintEmit, MalformedBaselineIsAnError) {
   EXPECT_FALSE(symlint::load_baseline("[]", baseline, err));
 }
 
-// ---------------------------------------------------------------------------
-// Incremental index cache
-// ---------------------------------------------------------------------------
-
-void write_file(const std::filesystem::path& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  ASSERT_TRUE(out.good()) << path;
-  out << text;
-}
-
-TEST(SymlintIndex, TouchingAHeaderReindexesOnlyItsDependents) {
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::current_path() / "symlint_cache_test";
-  fs::remove_all(dir);
-  fs::create_directories(dir / "tree");
-  write_file(dir / "tree/a.hpp", "int shared_helper();\n");
-  write_file(dir / "tree/b.cpp",
-             "#include \"a.hpp\"\nint use() { return shared_helper(); }\n");
-  write_file(dir / "tree/c.cpp", "int lonely() { return 3; }\n");
-
-  symlint::IndexOptions opt;
-  opt.cache_dir = (dir / "cache").string();
-  opt.jobs = 2;
-  opt.roots = {(dir / "tree").string()};
-  const std::vector<std::string> files = {(dir / "tree/a.hpp").string(),
-                                          (dir / "tree/b.cpp").string(),
-                                          (dir / "tree/c.cpp").string()};
-
-  symlint::IndexStats stats;
-  (void)symlint::run_index(files, opt, &stats);
-  EXPECT_EQ(stats.files, 3u);
-  EXPECT_EQ(stats.cache_hits, 0u);
-
-  (void)symlint::run_index(files, opt, &stats);
-  EXPECT_EQ(stats.cache_hits, 3u);
-  EXPECT_EQ(stats.reindexed, 0u);
-
-  // Touch the header: itself and its includer re-index; c.cpp stays cached.
-  write_file(dir / "tree/a.hpp", "int shared_helper();\nint another();\n");
-  const auto tus = symlint::run_index(files, opt, &stats);
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(stats.reindexed, 2u);
-  ASSERT_EQ(tus.size(), 3u);
-  EXPECT_FALSE(tus[0].from_cache);  // a.hpp
-  EXPECT_FALSE(tus[1].from_cache);  // b.cpp (transitive dependent)
-  EXPECT_TRUE(tus[2].from_cache);   // c.cpp
-
-  fs::remove_all(dir);
-}
-
-TEST(SymlintIndex, DiffModeReanalyzesOnlyChangedFilesAndDependents) {
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::current_path() / "symlint_diff_test";
-  fs::remove_all(dir);
-  fs::create_directories(dir / "tree");
-  write_file(dir / "tree/a.hpp", "int shared_helper();\n");
-  write_file(dir / "tree/b.cpp",
-             "#include \"a.hpp\"\nint use() { return shared_helper(); }\n");
-  write_file(dir / "tree/c.cpp", "int lonely() { return 3; }\n");
-
-  symlint::IndexOptions opt;
-  opt.cache_dir = (dir / "cache").string();
-  opt.jobs = 2;
-  opt.roots = {(dir / "tree").string()};
-  const std::vector<std::string> files = {(dir / "tree/a.hpp").string(),
-                                          (dir / "tree/b.cpp").string(),
-                                          (dir / "tree/c.cpp").string()};
-
-  symlint::IndexStats stats;
-  (void)symlint::run_index(files, opt, &stats);  // warm the cache
-  EXPECT_EQ(stats.reindexed, 3u);
-
-  // Edit BOTH the header and the unrelated TU on disk, but declare only the
-  // header changed: diff mode must re-analyze a.hpp plus its reverse
-  // include-dependent b.cpp, and serve c.cpp from cache as-is — no
-  // content-hash validation for files outside the analysis set.
-  write_file(dir / "tree/a.hpp", "int shared_helper();\nint another();\n");
-  write_file(dir / "tree/c.cpp",
-             "int lonely() { return 3; }\nint extra() { return 4; }\n");
-  opt.diff_mode = true;
-  opt.changed = {"a.hpp"};
-  const auto tus = symlint::run_index(files, opt, &stats);
-  EXPECT_EQ(stats.reindexed, 2u);
-  EXPECT_EQ(stats.cache_hits, 1u);
-  ASSERT_EQ(tus.size(), 3u);
-  EXPECT_FALSE(tus[0].from_cache);  // a.hpp: changed
-  EXPECT_FALSE(tus[1].from_cache);  // b.cpp: reverse include-dependent
-  EXPECT_TRUE(tus[2].from_cache);   // c.cpp: outside the analysis set
-  // Proof the diff run never read c.cpp's new content: the served index
-  // still has only the one function from before the on-disk edit.
-  EXPECT_EQ(tus[2].functions.size(), 1u);
-
-  fs::remove_all(dir);
-}
-
-TEST(SymlintIndex, WarmCacheRunIsAtLeastFiveTimesFasterThanCold) {
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::current_path() / "symlint_cache_bench";
-  fs::remove_all(dir);
-  fs::create_directories(dir / "tree");
-
-  // Token-heavy bodies make the cold path (lex + scan + per-TU lint) pay;
-  // the cached entries stay tiny, so the warm path is a cheap parse.
-  std::ostringstream body;
-  body << "int heavy() {\n  int a = 0;\n";
-  for (int i = 0; i < 1500; ++i) body << "  a = a + " << "a * a - a;\n";
-  body << "  return a;\n}\n";
-  std::vector<std::string> files;
-  for (int i = 0; i < 24; ++i) {
-    const fs::path p = dir / "tree" / ("f" + std::to_string(i) + ".cpp");
-    write_file(p, body.str());
-    files.push_back(p.string());
-  }
-
-  symlint::IndexOptions opt;
-  opt.cache_dir = (dir / "cache").string();
-  opt.jobs = 1;  // single-threaded: measure work, not scheduling
-  symlint::IndexStats stats;
-
-  const auto t0 = std::chrono::steady_clock::now();
-  (void)symlint::run_index(files, opt, &stats);
-  const auto t1 = std::chrono::steady_clock::now();
-  ASSERT_EQ(stats.reindexed, files.size());
-
-  // Best of two warm runs, to shield the ratio from scheduler noise.
-  auto warm = std::chrono::steady_clock::duration::max();
-  for (int pass = 0; pass < 2; ++pass) {
-    const auto w0 = std::chrono::steady_clock::now();
-    (void)symlint::run_index(files, opt, &stats);
-    const auto w1 = std::chrono::steady_clock::now();
-    ASSERT_EQ(stats.cache_hits, files.size());
-    warm = std::min(warm, w1 - w0);
-  }
-  const auto cold = t1 - t0;
-  EXPECT_GE(cold.count(), 5 * warm.count())
-      << "cold=" << std::chrono::duration_cast<std::chrono::microseconds>(cold)
-                        .count()
-      << "us warm="
-      << std::chrono::duration_cast<std::chrono::microseconds>(warm).count()
-      << "us";
-
-  fs::remove_all(dir);
-}
-
 // The repository itself must stay clean: this is the same gate the `symlint`
 // ctest target enforces via the CLI, asserted here against the real tree so
 // a lint regression fails in-process with the offending findings printed.
 TEST(Symlint, RepositorySourceTreeIsClean) {
   // Walk the list the CLI would: every .cpp/.hpp under src/.
-  std::vector<symlint::Finding> findings;
   const std::string root = std::string(SYM_SOURCE_DIR) + "/src";
   for (const auto& entry :
        std::filesystem::recursive_directory_iterator(root)) {
@@ -707,9 +561,9 @@ TEST(Symlint, RepositorySourceTreeIsClean) {
     if (ext != ".cpp" && ext != ".hpp" && ext != ".h" && ext != ".cc") {
       continue;
     }
-    symlint::lint_file(entry.path().string(), findings);
+    const auto tu = symlint::index_file(entry.path().string());
+    for (const auto& f : tu.tu_findings) ADD_FAILURE() << f.format();
   }
-  for (const auto& f : findings) ADD_FAILURE() << f.format();
 }
 
 }  // namespace

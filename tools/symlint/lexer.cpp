@@ -283,35 +283,4 @@ std::vector<StringCallSite> extract_string_calls(std::string_view src) {
   return out;
 }
 
-std::vector<std::string> extract_includes(std::string_view src) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos < src.size()) {
-    auto eol = src.find('\n', pos);
-    if (eol == std::string_view::npos) eol = src.size();
-    std::string_view ln = src.substr(pos, eol - pos);
-    pos = eol + 1;
-    // Match: optional ws, '#', optional ws, "include", ws, '"' path '"'.
-    std::size_t k = 0;
-    while (k < ln.size() && std::isspace(static_cast<unsigned char>(ln[k]))) {
-      ++k;
-    }
-    if (k >= ln.size() || ln[k] != '#') continue;
-    ++k;
-    while (k < ln.size() && std::isspace(static_cast<unsigned char>(ln[k]))) {
-      ++k;
-    }
-    if (ln.substr(k, 7) != "include") continue;
-    k += 7;
-    while (k < ln.size() && std::isspace(static_cast<unsigned char>(ln[k]))) {
-      ++k;
-    }
-    if (k >= ln.size() || ln[k] != '"') continue;
-    const auto close = ln.find('"', k + 1);
-    if (close == std::string_view::npos) continue;
-    out.emplace_back(ln.substr(k + 1, close - k - 1));
-  }
-  return out;
-}
-
 }  // namespace symlint

@@ -11,7 +11,6 @@
 // interprocedural one (L1/E1/T1).
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
@@ -49,10 +48,6 @@ struct Lexed {
 /// string_views into it).
 [[nodiscard]] Lexed lex(std::string_view src);
 
-/// Quoted #include targets ("simkit/engine.hpp"), in file order. Angle
-/// includes are system headers and never part of the project include graph.
-[[nodiscard]] std::vector<std::string> extract_includes(std::string_view src);
-
 /// A call whose first argument starts with a string literal:
 /// `func("lit"...)` or aggregate-init `func({"lit"...)`. The main lexer
 /// strips string literals, so the P1 pvar-contract rule uses this separate
@@ -67,16 +62,6 @@ struct StringCallSite {
 };
 [[nodiscard]] std::vector<StringCallSite> extract_string_calls(
     std::string_view src);
-
-/// FNV-1a 64-bit content hash — the cache key for the incremental index.
-[[nodiscard]] constexpr std::uint64_t fnv1a64(std::string_view data) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : data) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 /// The set of rule names accepted in allow(<rule>) annotations.
 [[nodiscard]] bool is_known_allow_rule(std::string_view rule) noexcept;

@@ -1,7 +1,6 @@
 #include "lint.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <set>
 #include <sstream>
 
@@ -295,24 +294,6 @@ std::string_view rule_name(Rule r) noexcept {
   return "unknown";
 }
 
-bool rule_from_id(std::string_view id, Rule& out) noexcept {
-  static const std::pair<std::string_view, Rule> kIds[] = {
-      {"A0", Rule::kAnnotation},    {"D1", Rule::kNondeterminism},
-      {"D2", Rule::kUnorderedIter}, {"D3", Rule::kFiberBlocking},
-      {"D4", Rule::kLaneAffinity},  {"L1", Rule::kLockOrder},
-      {"E1", Rule::kSharedEscape},  {"T1", Rule::kTaint},
-      {"B1", Rule::kMayBlock},      {"B2", Rule::kMayAlloc},
-      {"P1", Rule::kPvarContract},
-  };
-  for (const auto& [name, rule] : kIds) {
-    if (name == id) {
-      out = rule;
-      return true;
-    }
-  }
-  return false;
-}
-
 std::string Finding::format() const {
   std::ostringstream os;
   os << file << ':' << line << ": [" << rule_id(rule) << '/'
@@ -327,8 +308,8 @@ Scope classify(std::string_view path) {
 
   // The analyzer's own sources: the selfcheck gate. A lint tool whose
   // report order depends on hash layout or wall time is as useless as a
-  // nondeterministic simulator, so D1/D2 apply; it owns real threads for
-  // the parallel index pass, so D3/D4 do not.
+  // nondeterministic simulator, so D1/D2 apply; it is a host-side tool,
+  // never fiber- or lane-executed, so D3/D4 do not.
   if (norm.find("tools/symlint/") != std::string::npos) {
     s.scan = true;
     s.d1 = true;
@@ -390,21 +371,6 @@ std::vector<Finding> lint_source(std::string_view path,
               return rule_id(a.rule) < rule_id(b.rule);
             });
   return findings;
-}
-
-bool lint_file(const std::string& path, std::vector<Finding>& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    out.push_back(
-        {Rule::kAnnotation, path, 0, "cannot open file for linting", {}});
-    return false;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string content = buf.str();
-  const auto findings = lint_source(path, content);
-  out.insert(out.end(), findings.begin(), findings.end());
-  return true;
 }
 
 }  // namespace symlint

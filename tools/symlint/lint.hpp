@@ -77,9 +77,6 @@ enum class Rule {
 [[nodiscard]] std::string_view rule_id(Rule r) noexcept;
 [[nodiscard]] std::string_view rule_name(Rule r) noexcept;
 
-/// Inverse of rule_id(); returns false for unknown ids (cache decode).
-bool rule_from_id(std::string_view id, Rule& out) noexcept;
-
 struct Finding {
   Rule rule;
   std::string file;  ///< path as given to lint_source()
@@ -99,7 +96,7 @@ struct Finding {
 /// the table in docs/STATIC_ANALYSIS.md); the cross-TU passes index every
 /// scanned file. tools/symlint itself is scanned (the selfcheck gate) under
 /// the determinism rules that make sense for a host-side tool: its *output*
-/// must be deterministic (D1, D2), but it legitimately owns threads (no D3)
+/// must be deterministic (D1, D2), but it never runs on a fiber (no D3)
 /// and has no lanes (no D4).
 struct Scope {
   bool scan = false;  ///< file participates in analysis at all
@@ -121,10 +118,6 @@ struct Scope {
 /// ("src/simkit/lane.cpp") or an absolute one.
 [[nodiscard]] std::vector<Finding> lint_source(std::string_view path,
                                                std::string_view content);
-
-/// Lint a file on disk. Returns false (and appends a kAnnotation finding
-/// with the error) if the file cannot be read.
-bool lint_file(const std::string& path, std::vector<Finding>& out);
 
 /// Stable ordering used everywhere findings are emitted.
 void sort_findings(std::vector<Finding>& findings);

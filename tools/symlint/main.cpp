@@ -1,26 +1,22 @@
 // symlint CLI. Usage:
 //
-//   symlint [--root DIR]... [--cache-dir DIR] [--baseline FILE]
-//           [--sarif FILE] [--jobs N] [--no-cross] [--stats]
-//           [--pvars-doc FILE] [--changed-list FILE] [--prune-baseline]
-//           [FILE]...
+//   symlint [--root DIR]... [--baseline FILE] [--sarif FILE]
+//           [--pvars-doc FILE] [--prune-baseline] [FILE]...
 //
-// Pass 0 lints every .cpp/.hpp under each --root (recursively) plus any
-// explicit files with the per-TU rules; pass 1 builds (or refreshes) the
-// cross-TU index, cached incrementally under --cache-dir; pass 2 runs the
-// interprocedural rules (L1 lock-order, E1 shared-state-escape, T1
-// determinism-taint, B1/B2 hot-path may-block/may-allocate, and — when
-// --pvars-doc names the PVAR catalogue — P1 pvar-contract). Findings print
-// one per line, optionally also as SARIF 2.1.0, and are gated by the
-// checked-in baseline; a baseline entry that matches nothing is itself a
-// gate failure (fix the baseline, or pass --prune-baseline to rewrite it
-// without the stale entries). --changed-list FILE (newline-separated paths,
-// e.g. from `git diff --name-only`) switches pass 1 to diff-aware mode:
-// only the changed TUs and their reverse include-dependents are
-// re-analyzed, everything else is served from cache as-is. Exits 1 if any
-// unbaselined finding survives the allow() annotations or the baseline is
-// stale, 2 on usage errors. Run as the `symlint` ctest target over src/
-// (see tools/symlint/CMakeLists.txt and scripts/run_lint.sh).
+// One cold pass: every .cpp/.hpp under each --root (recursively) plus any
+// explicit files is read and indexed (pass 1, which also runs the per-TU
+// rules of pass 0); pass 2 runs the interprocedural rules over the whole
+// index (L1 lock-order, E1 shared-state-escape, T1 determinism-taint, B1/B2
+// hot-path may-block/may-allocate, and — when --pvars-doc names the PVAR
+// catalogue — P1 pvar-contract). Findings print one per line, optionally
+// also as SARIF 2.1.0, and are gated by the checked-in baseline; a baseline
+// entry that matches nothing is itself a gate failure (fix the baseline, or
+// pass --prune-baseline to rewrite it without the stale entries). Exits 1
+// if any unbaselined finding survives the allow() annotations or the
+// baseline is stale, 2 on usage errors (an unknown option, a missing
+// option argument, a directory given as an input file). Run as the
+// `symlint` ctest target over src/ (see tools/symlint/CMakeLists.txt and
+// scripts/run_lint.sh).
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -48,28 +44,13 @@ bool read_text(const std::string& path, std::string& out) {
   return true;
 }
 
-unsigned parse_jobs(const std::string& arg) {
-  unsigned v = 0;
-  for (const char c : arg) {
-    if (c < '0' || c > '9') return 0;
-    v = v * 10 + static_cast<unsigned>(c - '0');
-  }
-  return v;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::vector<std::string> files;
-  std::vector<std::string> roots;
-  std::string cache_dir;
   std::string baseline_path;
   std::string sarif_path;
   std::string pvars_doc_path;
-  std::string changed_list_path;
-  unsigned jobs = 1;
-  bool cross = true;
-  bool stats_wanted = false;
   bool prune_baseline = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -89,7 +70,6 @@ int main(int argc, char** argv) {
                      root.string().c_str());
         return 2;
       }
-      roots.push_back(root.string());
       for (const auto& entry : fs::recursive_directory_iterator(root)) {
         if (!entry.is_regular_file()) continue;
         const auto ext = entry.path().extension().string();
@@ -97,38 +77,32 @@ int main(int argc, char** argv) {
           files.push_back(entry.path().string());
         }
       }
-    } else if (arg == "--cache-dir") {
-      cache_dir = next("a directory");
     } else if (arg == "--baseline") {
       baseline_path = next("a file");
     } else if (arg == "--sarif") {
       sarif_path = next("a file");
-    } else if (arg == "--jobs") {
-      jobs = parse_jobs(next("a positive integer"));
-      if (jobs == 0) {
-        std::fprintf(stderr, "symlint: --jobs requires a positive integer\n");
-        return 2;
-      }
-    } else if (arg == "--no-cross") {
-      cross = false;
-    } else if (arg == "--stats") {
-      stats_wanted = true;
     } else if (arg == "--pvars-doc") {
       pvars_doc_path = next("a file");
-    } else if (arg == "--changed-list") {
-      changed_list_path = next("a file");
     } else if (arg == "--prune-baseline") {
       prune_baseline = true;
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
-          "usage: symlint [--root DIR]... [--cache-dir DIR] [--baseline "
-          "FILE]\n"
-          "               [--sarif FILE] [--jobs N] [--no-cross] [--stats]\n"
-          "               [--pvars-doc FILE] [--changed-list FILE] "
-          "[--prune-baseline]\n"
-          "               [FILE]...\n");
+          "usage: symlint [--root DIR]... [--baseline FILE] [--sarif FILE]\n"
+          "               [--pvars-doc FILE] [--prune-baseline] [FILE]...\n");
       return 0;
+    } else if (arg.size() > 1 && arg[0] == '-') {
+      std::fprintf(stderr, "symlint: unknown option %s (try --help)\n",
+                   arg.c_str());
+      return 2;
     } else {
+      // A directory would read as an empty file and lint nothing.
+      std::error_code ec;
+      if (fs::is_directory(arg, ec)) {
+        std::fprintf(stderr,
+                     "symlint: %s is a directory (use --root to scan it)\n",
+                     arg.c_str());
+        return 2;
+      }
       files.push_back(arg);
     }
   }
@@ -139,57 +113,27 @@ int main(int argc, char** argv) {
   std::sort(files.begin(), files.end());  // deterministic report order
   files.erase(std::unique(files.begin(), files.end()), files.end());
 
-  symlint::IndexOptions options;
-  options.cache_dir = cache_dir;
-  options.jobs = jobs;
-  options.roots = roots;
-  if (!changed_list_path.empty()) {
-    std::string text;
-    if (!read_text(changed_list_path, text)) {
-      std::fprintf(stderr, "symlint: cannot read changed list %s\n",
-                   changed_list_path.c_str());
-      return 2;
-    }
-    if (cache_dir.empty()) {
-      std::fprintf(stderr,
-                   "symlint: --changed-list needs --cache-dir (diff mode "
-                   "serves unchanged files from the warm cache)\n");
-      return 2;
-    }
-    options.diff_mode = true;
-    std::istringstream lines(text);
-    std::string ln;
-    while (std::getline(lines, ln)) {
-      while (!ln.empty() && (ln.back() == '\r' || ln.back() == ' ')) {
-        ln.pop_back();
-      }
-      if (!ln.empty()) options.changed.push_back(ln);
-    }
-  }
-  symlint::IndexStats stats;
-  const std::vector<symlint::TuIndex> tus =
-      symlint::run_index(files, options, &stats);
+  std::vector<symlint::TuIndex> tus;
+  tus.reserve(files.size());
+  for (const auto& path : files) tus.push_back(symlint::index_file(path));
 
   std::vector<symlint::Finding> findings;
   for (const auto& tu : tus) {
     findings.insert(findings.end(), tu.tu_findings.begin(),
                     tu.tu_findings.end());
   }
-  if (cross) {
-    for (auto& f : symlint::analyze_project(tus)) {
-      findings.push_back(std::move(f));
+  for (auto& f : symlint::analyze_project(tus)) {
+    findings.push_back(std::move(f));
+  }
+  if (!pvars_doc_path.empty()) {
+    std::string doc;
+    if (!read_text(pvars_doc_path, doc)) {
+      std::fprintf(stderr, "symlint: cannot read pvars doc %s\n",
+                   pvars_doc_path.c_str());
+      return 2;
     }
-    if (!pvars_doc_path.empty()) {
-      std::string doc;
-      if (!read_text(pvars_doc_path, doc)) {
-        std::fprintf(stderr, "symlint: cannot read pvars doc %s\n",
-                     pvars_doc_path.c_str());
-        return 2;
-      }
-      for (auto& f :
-           symlint::check_pvar_contract(tus, doc, pvars_doc_path)) {
-        findings.push_back(std::move(f));
-      }
+    for (auto& f : symlint::check_pvar_contract(tus, doc, pvars_doc_path)) {
+      findings.push_back(std::move(f));
     }
   }
   symlint::sort_findings(findings);
@@ -250,11 +194,6 @@ int main(int argc, char** argv) {
                 baseline_path.c_str());
     stale = false;
   }
-  if (stats_wanted) {
-    std::printf("symlint: index: %zu files, %zu cached, %zu reindexed\n",
-                stats.files, stats.cache_hits, stats.reindexed);
-  }
-
   if (!findings.empty() || stale) {
     std::printf("symlint: %zu finding(s) in %zu file(s) scanned",
                 findings.size(), files.size());
