@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "bench/report.hpp"
 #include "symbiosys/analysis.hpp"
@@ -35,6 +36,23 @@ inline sym::workloads::HepnosWorld::Params hepnos_params(
   p.file_model.payload_bytes = 512;
   p.files_per_client = 1;
   p.seed = seed;
+  return p;
+}
+
+/// The §VI-B staged-overhead (Fig. 13) world: overhead_study_config(),
+/// whose batch 8192 and 30 ESs are the paper's, scaled to one host process
+/// at the paper's 7:1 client:server ratio and 16 databases per server.
+/// Full size is 56 clients / 8 servers at 2048 events per client. Smoke
+/// size, which test_workloads also pins as the Fig. 13 shape contract, is
+/// 14 clients / 2 servers at 64 events per client.
+inline sym::workloads::HepnosWorld::Params overhead_params(
+    bool smoke, prof::Level level, std::uint64_t seed) {
+  auto cfg = sym::workloads::overhead_study_config();
+  cfg.total_servers = smoke ? 2 : 8;
+  cfg.total_clients = 7 * cfg.total_servers;
+  cfg.databases = 16 * cfg.total_servers;
+  auto p = hepnos_params(std::move(cfg), smoke ? 64 : 2048, seed);
+  p.instr = level;
   return p;
 }
 

@@ -1,57 +1,61 @@
-// overhead_study: the §VI-B staged overhead study on the Mobject write
-// workload.
+// overhead_study: the §VI-B staged overhead study (Fig. 13) on the
+// large-scale HEPnOS data-loader.
 //
-// The ior+Mobject write workload runs at each of the four measurement
-// stages (§VI-B):
+// Paper setup: 32 providers over 16 nodes, 224 data-loader clients over 112
+// nodes, 30 ESs, 16 databases per provider, batch 8192. Stages:
 //   OFF      instrumentation and measurement disabled
 //   STAGE1   metadata (breadcrumb / trace id) propagation only
 //   STAGE2   callpath profiling, tracing, system sampling; no PVARs
 //   FULL     everything, PVARs integrated on the fly
-// For each stage we report the virtual-time makespan (what the simulated
-// instrumentation costs do to the workload) and the host wall-clock (what
-// the measurement pipeline itself costs the simulator process). The paper's
-// acceptance bar is FULL <= 1.5x OFF.
+// The paper's finding: even with ~1M trace samples, overheads are minimal
+// and indistinguishable from run-to-run variation.
+//
+// The world is bench::overhead_params(): the paper's client:server ratio
+// and batch size at a quarter of its topology and a bench-scale event volume,
+// so the study completes in seconds (the stage ratios are what matters).
+// Each stage runs three seeds (the paper averages five runs). For each stage
+// we report the virtual-time makespan over the seeds (what the simulated
+// instrumentation costs do to the workload) and the mean host wall-clock of
+// world.run() (what the measurement pipeline itself costs the simulator
+// process). The acceptance bar is FULL <= 1.5x OFF.
 //
 // The profile store's host cost per record is timed by the
 // BM_ProfileStoreRecord* micro benchmarks (bench/micro_benchmarks.cpp).
 //
 // Results are emitted to BENCH_overhead.json (override with --out PATH).
-// --smoke shrinks every iteration count for CI.
+// --smoke runs the smoke-sized world on one seed for CI.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <vector>
 
 #include "bench/common.hpp"
-#include "workloads/mobject_world.hpp"
 
 using namespace bench;
 
 namespace {
 
 struct StageResult {
-  double virtual_ms = 0;   ///< mean simulated makespan
+  double virtual_ms = 0;   ///< mean simulated makespan over the seeds
+  double virtual_min_ms = 0;
+  double virtual_max_ms = 0;
   double wall_ms = 0;      ///< mean host wall-clock of world.run()
   std::size_t trace_events = 0;
   std::size_t profile_entries = 0;
 };
 
 StageResult run_stage(prof::Level level, bool smoke) {
-  sym::workloads::MobjectWorld::Params p;
-  p.ior.clients = smoke ? 4 : 16;
-  p.ior.ops_per_client = smoke ? 4 : 64;
-  p.ior.object_bytes = 64 * 1024;
-  p.ior.read_fraction = 0.0;  // pure write workload (§V-A write path)
-  p.instr = level;
-
   const int repeats = smoke ? 1 : 3;
   StageResult res;
   for (int r = 0; r < repeats; ++r) {
-    p.seed = 42 + 1000ULL * static_cast<std::uint64_t>(r);
-    sym::workloads::MobjectWorld world(p);
+    const std::uint64_t seed = 42 + 1000ULL * static_cast<std::uint64_t>(r);
+    sym::workloads::HepnosWorld world(overhead_params(smoke, level, seed));
     const auto t0 = std::chrono::steady_clock::now();
     world.run();
     const auto t1 = std::chrono::steady_clock::now();
-    res.virtual_ms += sim::to_millis(world.makespan());
+    const double ms = sim::to_millis(world.makespan());
+    res.virtual_ms += ms;
+    res.virtual_min_ms = r == 0 ? ms : std::min(res.virtual_min_ms, ms);
+    res.virtual_max_ms = std::max(res.virtual_max_ms, ms);
     res.wall_ms +=
         std::chrono::duration<double, std::milli>(t1 - t0).count();
     if (r == 0) {
@@ -73,8 +77,10 @@ int main(int argc, char** argv) {
                 parse_study_args(argc, argv, "BENCH_overhead.json"));
   const bool smoke = report.smoke();
 
-  print_header("Mobject writes: measurement overhead per stage",
-               "§VI-B staged overhead study");
+  print_header(
+      "HEPnOS: data-loader execution time under the four measurement stages",
+      "Fig. 13 / §VI-B; paper: overheads minimal, within run-to-run "
+      "variation");
 
   const prof::Level levels[] = {prof::Level::kOff, prof::Level::kStage1,
                                 prof::Level::kStage2, prof::Level::kFull};
@@ -86,13 +92,17 @@ int main(int argc, char** argv) {
     const StageResult r = run_stage(level, smoke);
     if (level == prof::Level::kOff) off_virtual = r.virtual_ms;
     slowdown = off_virtual > 0 ? r.virtual_ms / off_virtual : 0;
-    std::printf("%-8s virtual %9.3f ms (x%.3f vs OFF)  wall %8.2f ms  "
-                "trace events %6zu  profile entries %4zu\n",
-                prof::to_string(level), r.virtual_ms, slowdown, r.wall_ms,
+    std::printf("%-13s virtual mean %8.3f ms [min %8.3f, max %8.3f] "
+                "overhead %+5.2f%%  wall %8.2f ms  trace events %6zu  "
+                "profile entries %4zu\n",
+                prof::to_string(level), r.virtual_ms, r.virtual_min_ms,
+                r.virtual_max_ms, 100.0 * (slowdown - 1.0), r.wall_ms,
                 r.trace_events, r.profile_entries);
     json.begin_object()
         .field("level", prof::to_string(level))
         .field("virtual_ms", r.virtual_ms)
+        .field("virtual_min_ms", r.virtual_min_ms)
+        .field("virtual_max_ms", r.virtual_max_ms)
         .field("wall_ms", r.wall_ms)
         .field("slowdown_vs_off", slowdown)
         .field("trace_events", r.trace_events)
@@ -101,7 +111,8 @@ int main(int argc, char** argv) {
   }
   json.end();
 
-  std::printf("\n");
+  std::printf("\n(run-to-run spread across seeds provides the variation band "
+              "the paper compares against)\n");
   report.gate("full_slowdown", slowdown <= 1.5,
               "acceptance: FULL slowdown %.3f <= 1.5x OFF", slowdown);
   return report.finish();

@@ -10,7 +10,8 @@
 #      markdown doc at all, or
 #   4. a doc references a ctest-style test name (test_*) that no CMakeLists
 #      registers, or
-#   5. a required doc file is missing.
+#   5. a required doc file is missing, or
+#   6. a repo path a required doc writes in backticks names no file.
 #
 # Usage: scripts/check_docs.sh [repo-root]   (defaults to the script's parent)
 
@@ -105,6 +106,30 @@ for req in $docs; do
     fail=1
   fi
 done
+
+# --- 6. backticked repo paths in the required docs must exist ------------
+# A backticked span that is one path under src/, examples/, bench/, tools/,
+# scripts/ or tests/ must name an existing file or directory. A glob
+# (`bench/ablation_*`) must match at least one file, and a bench or example
+# path may name its target without the `.cpp`. Catches docs that survived a
+# deletion or a rename.
+paths=$(grep -ho '`[^`]*`' $docs 2>/dev/null | tr -d '`' \
+          | grep -E '^(src|examples|bench|tools|scripts|tests)/[^[:space:]]*$' \
+          | sort -u)
+while IFS= read -r p; do
+  [ -n "$p" ] || continue
+  case $p in
+    *'*'*|*'?'*|*'['*)
+      set -- $p                       # pathname expansion of the glob
+      [ -e "$1" ] && continue ;;
+    *)
+      { [ -e "$p" ] || [ -e "$p.cpp" ]; } && continue ;;
+  esac
+  echo "STALE PATH: $p (backticked in a doc, names no file in the repo)"
+  fail=1
+done <<EOF
+$paths
+EOF
 
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED"

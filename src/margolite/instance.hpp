@@ -50,11 +50,6 @@ struct InstanceConfig {
   sim::DurationNs progress_timeout = sim::usec(100);
   /// Period of the system-statistics sampler (0 disables it).
   sim::DurationNs sysstat_period = sim::msec(10);
-  /// Bounded-memory flight-recorder mode: cap the trace buffer at this many
-  /// 1024-event chunks, evicting the oldest events (0 = unbounded).
-  std::size_t trace_ring_chunks = 0;
-  /// Same bound for the system-statistics buffer, in 512-sample chunks.
-  std::size_t sysstat_ring_chunks = 0;
 };
 
 class Instance;

@@ -290,7 +290,7 @@ struct SysStat {
 
 /// Per-process system-statistics buffer, filled by margolite's sampler ULT.
 /// Chunked like TraceStore: the sampler appends one row per tick forever,
-/// so the buffer must neither reallocate nor grow unbounded in ring mode.
+/// so the buffer must never reallocate.
 class SysStatStore {
  public:
   using Buffer = ChunkedBuffer<SysStat, 512>;
@@ -298,13 +298,6 @@ class SysStatStore {
   void append(const SysStat& s) { samples_.push_back(s); }
   [[nodiscard]] const Buffer& samples() const noexcept { return samples_; }
   [[nodiscard]] std::size_t size() const noexcept { return samples_.size(); }
-  [[nodiscard]] std::uint64_t dropped() const noexcept {
-    return samples_.dropped();
-  }
-  /// Bound the buffer to `max_chunks` chunks of 512 samples (0 = unbounded).
-  void set_ring_chunks(std::size_t max_chunks) noexcept {
-    samples_.set_ring_chunks(max_chunks);
-  }
   void clear() { samples_.clear(); }
 
  private:

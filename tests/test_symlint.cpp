@@ -39,8 +39,8 @@ struct Expected {
 void expect_findings(const std::string& fixture,
                      const std::string& virtual_path,
                      const std::vector<Expected>& expected) {
-  const auto findings =
-      symlint::lint_source(virtual_path, read_fixture(fixture));
+  const std::string src = read_fixture(fixture);
+  const auto findings = symlint::lint_source(virtual_path, symlint::lex(src));
   ASSERT_EQ(findings.size(), expected.size())
       << [&] {
            std::ostringstream os;
@@ -137,8 +137,9 @@ TEST(Symlint, AnnotationsSuppressAndMalformedOnesAreFindings) {
 }
 
 TEST(Symlint, FindingFormatIsStable) {
-  const auto findings = symlint::lint_source(
-      "src/margolite/fixture_d1.cpp", read_fixture("d1_nondeterminism.cpp"));
+  const std::string src = read_fixture("d1_nondeterminism.cpp");
+  const auto findings = symlint::lint_source("src/margolite/fixture_d1.cpp",
+                                             symlint::lex(src));
   ASSERT_FALSE(findings.empty());
   const std::string line = findings.front().format();
   EXPECT_NE(line.find("src/margolite/fixture_d1.cpp:19: [D1/nondeterminism]"),

@@ -737,7 +737,7 @@ TuIndex build_tu_index(std::string_view path, std::string_view content) {
   tu.allows.erase(std::unique(tu.allows.begin(), tu.allows.end()),
                   tu.allows.end());
 
-  tu.tu_findings = lint_source(path, content);
+  tu.tu_findings = lint_source(path, lx);
   return tu;
 }
 

@@ -358,11 +358,9 @@ void sort_findings(std::vector<Finding>& findings) {
             });
 }
 
-std::vector<Finding> lint_source(std::string_view path,
-                                 std::string_view content) {
+std::vector<Finding> lint_source(std::string_view path, const Lexed& lx) {
   const Scope scope = classify(path);
   if (!scope.scan) return {};
-  const Lexed lx = lex(content);
   Scanner scanner(path, lx, scope);
   auto findings = scanner.run();
   std::sort(findings.begin(), findings.end(),

@@ -57,6 +57,8 @@
 #include <string_view>
 #include <vector>
 
+#include "lexer.hpp"
+
 namespace symlint {
 
 enum class Rule {
@@ -113,11 +115,12 @@ struct Scope {
 [[nodiscard]] Scope classify(std::string_view path);
 
 /// Lint one translation unit with the per-TU rules. `path` determines which
-/// rules apply; `content` is the file text. The path is matched on its
+/// rules apply; `lx` is the file text as lex() returned it, so the caller
+/// that also indexes the file lexes it once. The path is matched on its
 /// normalized form, so callers may pass either a repo-relative path
 /// ("src/simkit/lane.cpp") or an absolute one.
 [[nodiscard]] std::vector<Finding> lint_source(std::string_view path,
-                                               std::string_view content);
+                                               const Lexed& lx);
 
 /// Stable ordering used everywhere findings are emitted.
 void sort_findings(std::vector<Finding>& findings);
